@@ -1486,87 +1486,3 @@ func BenchmarkParallelDecodeMTR(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkShardedTable2NoProducer prices retiring the single-producer
-// demux on an 8-shard .mtr replay (basic policy, 64 KB): the PR-5 path —
-// one goroutine decoding and fanning out to every shard queue — versus the
-// segment-parallel path, where decoder workers route per-segment batches
-// straight into the shard queues. Counters are asserted bit-identical, and
-// each mode's producer-side stall time (DemuxStallNs) is recorded: the
-// no-producer path all but eliminates it, because no single producer sits
-// blocked on whichever shard queue happens to be full.
-func BenchmarkShardedTable2NoProducer(b *testing.B) {
-	img := benchMTRImage(b, "MP3D")
-	pl := placement.UsageBased(benchTrace(b, "MP3D"), benchGeom, 16)
-	run := func(b *testing.B, decoders int, rs *telemetry.RunStats) (cost.Msgs, directory.Counters) {
-		b.Helper()
-		sys, err := directory.NewSharded(directory.Config{
-			Nodes: 16, Geometry: benchGeom, CacheBytes: 64 << 10,
-			Policy: core.Basic, Placement: pl, Stats: rs, Decoders: decoders,
-		}, 8, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var src trace.Source
-		if decoders > 1 {
-			src, err = trace.NewIndexedSource(bytes.NewReader(img), int64(len(img)), decoders)
-			if err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			src = benchFileSource(b, img, true)
-		}
-		defer src.Close()
-		if err := sys.RunSource(nil, src); err != nil {
-			b.Fatal(err)
-		}
-		return sys.Messages(), sys.Counters()
-	}
-	modes := []struct {
-		name     string
-		decoders int
-	}{
-		{"producer", 1},
-		{"noproducer", 2},
-	}
-	msgs := make([]cost.Msgs, len(modes))
-	counters := make([]directory.Counters, len(modes))
-	elapsed := make([]time.Duration, len(modes))
-	stallNs := make([]uint64, len(modes))
-	runStats := make([]*telemetry.RunStats, len(modes))
-	for i := range runStats {
-		runStats[i] = &telemetry.RunStats{}
-	}
-	b.Run("paired", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for mi, m := range modes {
-				start := time.Now()
-				msgs[mi], counters[mi] = run(b, m.decoders, runStats[mi])
-				elapsed[mi] += time.Since(start)
-			}
-		}
-		for mi := range modes {
-			stallNs[mi] = runStats[mi].DemuxStallNs.Load()
-		}
-		if msgs[1] != msgs[0] || counters[1] != counters[0] {
-			b.Fatalf("no-producer run diverged: %+v/%+v vs %+v/%+v",
-				msgs[1], counters[1], msgs[0], counters[0])
-		}
-		measured := map[string]float64{"gomaxprocs": float64(runtime.GOMAXPROCS(0))}
-		for mi, m := range modes {
-			measured[m.name+"_ns_per_op"] = float64(elapsed[mi].Nanoseconds()) / float64(b.N)
-			measured[m.name+"_stall_ns_per_op"] = float64(stallNs[mi]) / float64(b.N)
-		}
-		speedup := measured["producer_ns_per_op"] / measured["noproducer_ns_per_op"]
-		measured["speedup"] = speedup
-		// Stall reduction against a floor of 1ns/op, so a fully stall-free
-		// no-producer pass reports a finite (huge) ratio instead of +Inf.
-		reduction := measured["producer_stall_ns_per_op"] / max(measured["noproducer_stall_ns_per_op"], 1)
-		measured["stall_reduction"] = reduction
-		b.ReportMetric(speedup, "speedup-noproducer")
-		b.ReportMetric(reduction, "stall-reduction")
-		if err := stats.UpdateBenchJSON("results/bench_sweep.json", "BenchmarkShardedTable2NoProducer", measured); err != nil {
-			b.Fatal(err)
-		}
-	})
-}

@@ -88,14 +88,13 @@ func main() {
 	fmt.Println("invalidated per ownership acquisition — the Weber–Gupta motivation for")
 	fmt.Println("migratory detection.")
 	fmt.Println()
-	shards := cliutil.ResolveShards(opts.Shards, *cache, 16)
 	for _, app := range apps {
 		res, err := sim.Run(ctx, sim.RunConfig{
 			Engine:          sim.EngineDirectory,
 			Nodes:           opts.Nodes,
 			Policy:          core.Conventional.Name,
 			CacheBytes:      *cache,
-			Shards:          shards,
+			Shards:          opts.Shards,
 			Stats:           run.Stats(),
 			OpenSource:      app.Open,
 			PlacementPolicy: app.Placement,

@@ -91,7 +91,7 @@ func main() {
 	if *shards < 1 && *shards != -1 {
 		cliutil.Usagef("inspect", "-shards must be >= 1 or -1 for all CPUs (got %d)", *shards)
 	}
-	nshards := cliutil.ResolveShards(*shards, *cacheKB<<10, *blockSize)
+	nshards := sim.ResolveShards(*shards, *cacheKB<<10, *blockSize)
 	if nshards > 1 {
 		if *jsonlOut != "" || *perfetto != "" {
 			cliutil.Usagef("inspect", "-jsonl/-perfetto need the single globally ordered event stream of -shards 1")

@@ -118,8 +118,8 @@
 // into independently decodable segments and a footer index lets
 // OpenIndexedTraceFile / NewIndexedTraceSource decode segments on several
 // workers (RunConfig.Decoders, the shared -decoders flag) while
-// reassembling the exact sequential stream — and sharded runs route
-// segments straight into per-shard queues with no serial producer at all.
+// reassembling the exact sequential stream, which sharded runs then demux
+// to their shards through one producer.
 // Opening a v1/v2 trace through the indexed path reports ErrTraceNoIndex.
 // A process-wide decoded-segment cache (NewTraceSegmentCache, threaded via
 // RunConfig.Cache or OpenIndexedTraceFileCache, sized by the shared

@@ -207,7 +207,7 @@ func FuzzShardDemux(f *testing.F) {
 
 			got := make([][]trace.Access, shards)
 			steps := make([][]uint64, shards)
-			err := trace.Demux(nil, trace.NewSliceSource(accs), shards, true, route,
+			err := trace.Demux(nil, trace.NewSliceSource(accs), shards, true, nil, route,
 				func(shard int, b trace.ShardBatch) error {
 					got[shard] = append(got[shard], b.Accs...)
 					steps[shard] = append(steps[shard], b.Steps...)

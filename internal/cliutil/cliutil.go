@@ -22,7 +22,6 @@ import (
 	"syscall"
 
 	"migratory/internal/core"
-	"migratory/internal/directory"
 	"migratory/internal/memory"
 	"migratory/internal/obs"
 	"migratory/internal/sim"
@@ -93,6 +92,9 @@ func (f *Flags) Validate() {
 	f.validateWorkerFlag("-parallelism", *f.Parallelism, 0)
 	f.validateWorkerFlag("-shards", *f.Shards, -1)
 	f.validateWorkerFlag("-decoders", *f.Decoders, 0)
+	if *f.Length < 0 {
+		Usagef(f.name, "-length must be >= 0 (0 = per-app default; got %d)", *f.Length)
+	}
 	if *f.TraceCacheBytes < 0 {
 		Usagef(f.name, "-trace-cache-bytes must be >= 0 (0 disables the cache; got %d)", *f.TraceCacheBytes)
 	}
@@ -121,25 +123,6 @@ func (f *Flags) Validate() {
 			*f.Parallelism = capped
 		}
 	}
-}
-
-// ResolveShards turns a -shards value into a usable engine shard count for
-// commands that construct engines directly (sim.Options performs the same
-// resolution internally): -1 means all CPUs, counts round down to a power
-// of two, and finite caches cap the count at the per-cache set count so no
-// shard is left without sets.
-func ResolveShards(shards, cacheBytes, blockSize int) int {
-	if shards == -1 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	p := 1
-	for p*2 <= shards {
-		p *= 2
-	}
-	if max := directory.MaxShards(cacheBytes, blockSize, 0); max > 0 && p > max {
-		p = max
-	}
-	return p
 }
 
 // validateWorkerFlag is the shared range check for the two worker-count
@@ -194,11 +177,9 @@ func (f *Flags) TraceApps() ([]*sim.App, error) {
 // fixed-record format) as a sim.App: the usage-based placement comes from
 // one streaming profiling pass, and each Open re-reads the file from the
 // start. Indexed (v3) files open as an IndexedFileSource with decoders
-// decode workers — in sharded runs the segments feed the shards directly
-// (trace.DemuxParallel); older versions fall back to sequential decode
+// segment-decode workers; older versions fall back to sequential decode
 // ahead of the simulation on a prefetch goroutine. Either way decode
-// overlaps the engine's work, and the composition is explicit in
-// trace.OpenFileParallelCache rather than depending on the shard count.
+// overlaps the engine's work, sharded or not.
 // cache, when non-nil, lets every opened source (the profiling pass
 // included) share decoded segments instead of re-decoding per cell.
 func TraceApp(path string, nodes, decoders int, cache *trace.SegmentCache) (*sim.App, error) {

@@ -97,12 +97,6 @@ type Config struct {
 	// per DefaultBatchSize chunk, never per access, so nil costs a single
 	// pointer test per batch.
 	Stats *telemetry.RunStats
-	// Decoders is the trace-decode worker count for sharded runs fed by an
-	// indexed (MTR3) source: segments are decoded and routed concurrently
-	// by this many goroutines instead of one producer (trace.DemuxParallel).
-	// 0 means the source's configured width; 1 forces the single-producer
-	// path. Results are bit-identical either way.
-	Decoders int
 
 	// shards/shardIndex mark this System as one slice of a set-sharded
 	// run: its caches hold only the sets routed to shardIndex. Set by

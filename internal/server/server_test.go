@@ -434,6 +434,35 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitNegativeLength400 checks that a config Validate rejects never
+// reaches a worker over HTTP: a negative trace length answers 400 with the
+// validation message instead of running (and caching) an empty result.
+func TestSubmitNegativeLength400(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cfg := smallCfg(1)
+	cfg.Length = -5
+	body, _ := json.Marshal(submitRequest{Config: cfg, Wait: true})
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status = %d, want 400: %s", resp.StatusCode, b)
+	}
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if want := cfg.Validate().Error(); e.Error != want {
+		t.Fatalf("error %q, want %q", e.Error, want)
+	}
+}
+
 // TestManifestPerRequest checks one sealed manifest lands per executed
 // request, named by pid and job id.
 func TestManifestPerRequest(t *testing.T) {

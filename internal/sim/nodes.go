@@ -68,7 +68,7 @@ func NodeCountSweep(app string, nodeCounts []int, opts Options) ([]NodeCountRow,
 		n := nodeCounts[ni]
 		sys, err := newDirectoryRunner(directory.Config{
 			Nodes: n, Geometry: geom, Policy: pols[pi], Placement: preps[ni].Placement,
-		}, effectiveShards(opts, 0, 16), nil)
+		}, ResolveShards(opts.Shards, 0, 16), nil)
 		if err != nil {
 			return err
 		}

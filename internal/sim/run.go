@@ -71,16 +71,18 @@ type RunConfig struct {
 	// Exactly one of Workload and TraceFile must be set (unless OpenSource
 	// supplies the trace).
 	Workload string `json:"workload,omitempty"`
-	// TraceFile is a trace to replay (.mtr or legacy format), decoded with
-	// prefetch. Mutually exclusive with Workload.
+	// TraceFile is a trace to replay (.mtr or legacy format). Indexed (v3)
+	// files decode their segments on Decoders workers; older versions
+	// decode sequentially behind a prefetch goroutine. Mutually exclusive
+	// with Workload.
 	TraceFile string `json:"trace_file,omitempty"`
 
 	// Nodes is the processor count (0 = the paper's 16).
 	Nodes int `json:"nodes,omitempty"`
 	// Seed drives the workload generator (0 = 1993). Ignored for traces.
 	Seed int64 `json:"seed,omitempty"`
-	// Length overrides the profile's default trace length (0 = default).
-	// Ignored for traces.
+	// Length overrides the profile's default trace length (0 = default,
+	// negative is rejected). Ignored for traces.
 	Length int `json:"length,omitempty"`
 
 	// Policy names the directory/timing coherence policy (core.Policies):
@@ -219,6 +221,9 @@ func (c RunConfig) Validate() error {
 	if err != nil {
 		return err
 	}
+	if c.Length < 0 {
+		return fmt.Errorf("sim: bad trace length %d (want 0 for the profile default or >= 1)", c.Length)
+	}
 	if c.Shards < -1 {
 		return fmt.Errorf("sim: bad shard count %d", c.Shards)
 	}
@@ -315,7 +320,6 @@ func (c RunConfig) directoryConfig(geom memory.Geometry, pol core.Policy, pl pla
 		FreeDropNotifications: c.FreeDropNotifications,
 		DirPointers:           c.DirPointers,
 		Stats:                 c.Stats,
-		Decoders:              c.resolveDecoders(),
 	}
 }
 
@@ -328,7 +332,6 @@ func (c RunConfig) busConfig(geom memory.Geometry, prot snoop.Protocol) snoop.Co
 		Protocol:   prot,
 		Hysteresis: c.Hysteresis,
 		Stats:      c.Stats,
-		Decoders:   c.resolveDecoders(),
 	}
 }
 
@@ -399,13 +402,6 @@ func (c RunConfig) placementFor() (placement.Policy, error) {
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPlacement, c.Placement)
 	}
-}
-
-// resolveShards maps the config's Shards to the engine shard count for this
-// cell (power of two, capped by the cache's set count). Idempotent, so
-// callers may pass either the raw setting or an already-resolved count.
-func (c RunConfig) resolveShards() int {
-	return effectiveShards(Options{Shards: c.Shards}, c.CacheBytes, c.BlockSize)
 }
 
 // resolveDecoders maps the config's Decoders to the decode worker count:
@@ -538,7 +534,7 @@ func (c RunConfig) runDirectory(ctx context.Context, geom memory.Geometry) (*Run
 	if err != nil {
 		return nil, err
 	}
-	sys, err := newDirectoryRunner(c.directoryConfig(geom, pol, pl), c.resolveShards(), c.Probes)
+	sys, err := newDirectoryRunner(c.directoryConfig(geom, pol, pl), ResolveShards(c.Shards, c.CacheBytes, c.BlockSize), c.Probes)
 	if err != nil {
 		return nil, err
 	}
@@ -564,7 +560,7 @@ func (c RunConfig) runBus(ctx context.Context, geom memory.Geometry) (*RunResult
 	if err != nil {
 		return nil, err
 	}
-	sys, err := snoop.NewSharded(c.busConfig(geom, prot), c.resolveShards(), c.Probes)
+	sys, err := snoop.NewSharded(c.busConfig(geom, prot), ResolveShards(c.Shards, c.CacheBytes, c.BlockSize), c.Probes)
 	if err != nil {
 		return nil, err
 	}

@@ -62,6 +62,7 @@ func TestRunConfigValidateFieldDiscipline(t *testing.T) {
 		{"placement on bus", RunConfig{Engine: EngineBus, Workload: "MP3D", Protocol: "mesi", Placement: PlacementUsage}},
 		{"sharded timing", RunConfig{Engine: EngineTiming, Workload: "MP3D", Policy: "basic", Shards: 2}},
 		{"negative shards", RunConfig{Engine: EngineDirectory, Workload: "MP3D", Policy: "basic", Shards: -3}},
+		{"negative length", RunConfig{Engine: EngineDirectory, Workload: "MP3D", Policy: "basic", Length: -5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

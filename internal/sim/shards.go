@@ -15,13 +15,15 @@ import (
 // floorPow2 rounds n down to a power of two (n must be >= 1).
 func floorPow2(n int) int { return 1 << (bits.Len(uint(n)) - 1) }
 
-// effectiveShards resolves Options.Shards for one simulation cell: -1
-// becomes the largest power of two not above GOMAXPROCS, explicit counts
-// round down to a power of two (the shard router masks low block bits), and
-// finite caches cap the count at the per-cache set count so every shard
-// owns at least one set. The result is always >= 1.
-func effectiveShards(opts Options, cacheBytes, blockSize int) int {
-	n := opts.Shards
+// ResolveShards maps a requested shard count (RunConfig.Shards,
+// Options.Shards, the -shards flag) to the engine shard count of one run:
+// -1 becomes the largest power of two not above GOMAXPROCS, explicit
+// counts round down to a power of two (the shard router masks low block
+// bits), and finite caches cap the count at the per-cache set count so
+// every shard owns at least one set. The result is always >= 1, and
+// resolving a resolved count returns it unchanged.
+func ResolveShards(shards, cacheBytes, blockSize int) int {
+	n := shards
 	if n < 0 {
 		n = runtime.GOMAXPROCS(0)
 	}

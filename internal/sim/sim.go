@@ -68,10 +68,10 @@ type Options struct {
 	// so its runs cannot be partitioned. Parallelism composes with Shards
 	// multiplicatively — shards × workers goroutines can be live at once.
 	Shards int
-	// Decoders bounds the parallel trace-decode workers for sharded runs
-	// over indexed (MTR3) trace files (see RunConfig.Decoders): 0 = one per
-	// GOMAXPROCS, >= 1 explicit. Purely a throughput knob; results are
-	// bit-identical at any setting.
+	// Decoders bounds the parallel segment-decode workers of indexed
+	// (MTR3) trace files (see RunConfig.Decoders): 0 = one per GOMAXPROCS,
+	// >= 1 explicit. Purely a throughput knob; results are bit-identical at
+	// any setting.
 	Decoders int
 	// Cache, when non-nil, is the shared decoded-segment cache every cell
 	// of the sweep consults before decoding an indexed (MTR3) trace file:
@@ -265,7 +265,7 @@ func (c Cell) Reduction(base Cell) float64 { return cost.Reduction(base.Msgs, c.
 // and prepared placement, the sweep identity builds the per-shard probes.
 func RunDirectoryCell(app *App, opts Options, policy core.Policy, cacheBytes, blockSize int) (Cell, error) {
 	opts = opts.withDefaults()
-	shards := effectiveShards(opts, cacheBytes, blockSize)
+	shards := ResolveShards(opts.Shards, cacheBytes, blockSize)
 	probes, built := shardProbes(opts, app.Name, policy.Name, cacheBytes, blockSize, shards)
 	res, err := Run(opts.ctx(), RunConfig{
 		Engine:          EngineDirectory,
@@ -531,7 +531,7 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 		app := apps[i/(nCaches*nProts)]
 		cb := cacheSizes[(i/nProts)%nCaches]
 		p := protocols[i%nProts]
-		shards := effectiveShards(opts, cb, 16)
+		shards := ResolveShards(opts.Shards, cb, 16)
 		probes, built := shardProbes(opts, app.Name, p.String(), cb, 16, shards)
 		res, err := Run(opts.ctx(), RunConfig{
 			Engine:     EngineBus,

@@ -69,16 +69,16 @@ func (sh *Sharded) Run(accesses []trace.Access) error {
 }
 
 // RunSource demuxes the trace by set index across the shards and runs
-// them concurrently, with counts bit-identical to a sequential run. When
-// src is an indexed (MTR3) source and cfg.Decoders allows it, the decode
-// runs in parallel as well (trace.DemuxParallel).
+// them concurrently, with counts bit-identical to a sequential run. One
+// producer feeds the shards (trace.Demux); an indexed (MTR3) source still
+// decodes its segments in parallel behind that producer.
 func (sh *Sharded) RunSource(ctx context.Context, src trace.Source) error {
 	if len(sh.shards) == 1 {
 		return sh.shards[0].RunSource(ctx, src)
 	}
 	geom := sh.cfg.Geometry
 	mask := uint64(len(sh.shards) - 1)
-	return trace.DemuxParallel(ctx, src, sh.cfg.Decoders, len(sh.shards), sh.probed, sh.cfg.Stats,
+	return trace.Demux(ctx, src, len(sh.shards), sh.probed, sh.cfg.Stats,
 		func(a trace.Access) int { return int(uint64(geom.Block(a.Addr)) & mask) },
 		func(i int, b trace.ShardBatch) error { return sh.shards[i].runShardBatch(b) })
 }

@@ -75,8 +75,8 @@ type RunStats struct {
 	// and decremented exactly once when consumed. Pre-hand-off increments
 	// mean the gauge can momentarily overstate depth, but it can never dip
 	// negative and never double-counts, no matter how producer goroutines
-	// interleave — trace.DemuxStats and trace.DemuxParallel both uphold
-	// this, and TestQueueDepthMultiProducer pins it under -race.
+	// interleave — trace.Demux upholds this, and TestQueueDepthMultiProducer
+	// pins it under -race with several concurrent demux runs.
 	QueueDepth [MaxQueueShards]atomic.Int64
 
 	// BytesRead counts compressed trace bytes decoded from .mtr sources,

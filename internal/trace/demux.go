@@ -57,34 +57,29 @@ func putShardBatch(b ShardBatch) {
 // channel, so a slow shard applies backpressure instead of queueing
 // unbounded work. Within one shard, consume(shard, batch) calls observe
 // every access in its original relative order — the property the sharded
-// engines rely on for bit-identical counters.
+// engines rely on for bit-identical counters. Decode parallelism lives in
+// the source: an IndexedFileSource decodes segments on its own workers and
+// hands the producer the reassembled sequential stream.
 //
 // When withSteps is set, each batch carries the global access indices in
 // ShardBatch.Steps. Batch buffers are pooled; consume must not retain the
 // batch after returning.
 //
+// stats, when non-nil, receives the demux accounting: routed batches
+// (DemuxBatches), per-shard in-flight depth (QueueDepth), and producer time
+// spent blocked on a full shard queue (DemuxStalls / DemuxStallNs) — the
+// live back-pressure signal of a sharded run. The accounting sits on batch
+// hand-offs, never the per-access loop. QueueDepth follows the
+// multi-producer contract documented on telemetry.RunStats: the increment
+// happens strictly before the batch is visible to a consumer, the
+// decrement exactly once at consumption, so the gauge never dips negative
+// and never double-counts even when several concurrent Demux calls (the
+// sharded cells of a parallel sweep) share one RunStats.
+//
 // Demux returns after every consumer has finished. On failure the error
 // precedence is: context cancellation, then the lowest-numbered shard's
 // consume error, then the source error.
 func Demux(ctx context.Context, src Reader, shards int, withSteps bool,
-	route func(Access) int, consume func(shard int, b ShardBatch) error) error {
-	return DemuxStats(ctx, src, shards, withSteps, nil, route, consume)
-}
-
-// DemuxStats is Demux with an optional telemetry counter block. When stats
-// is non-nil the producer and consumers account each routed batch
-// (DemuxBatches), per-shard in-flight depth (QueueDepth), and producer time
-// spent blocked on a full shard queue (DemuxStalls / DemuxStallNs) — the
-// live back-pressure signal of a sharded run. A nil stats is exactly
-// Demux: the accounting sits on batch hand-offs, never the per-access loop.
-//
-// QueueDepth follows the multi-producer contract documented on
-// telemetry.RunStats: the increment happens strictly before the batch is
-// visible to a consumer, the decrement exactly once at consumption, so the
-// gauge never dips negative and never double-counts even when several
-// demux pipelines (this one or trace.DemuxParallel's decoder workers)
-// share one RunStats.
-func DemuxStats(ctx context.Context, src Reader, shards int, withSteps bool,
 	stats *telemetry.RunStats, route func(Access) int, consume func(shard int, b ShardBatch) error) error {
 	if shards < 1 {
 		return fmt.Errorf("trace: demux shards %d (want >= 1)", shards)

@@ -31,7 +31,7 @@ func TestDemuxPartitionsAndPreservesOrder(t *testing.T) {
 
 	got := make([][]Access, shards)
 	steps := make([][]uint64, shards)
-	err := Demux(nil, NewSliceSource(accs), shards, true, route,
+	err := Demux(nil, NewSliceSource(accs), shards, true, nil, route,
 		func(shard int, b ShardBatch) error {
 			got[shard] = append(got[shard], b.Accs...)
 			steps[shard] = append(steps[shard], b.Steps...)
@@ -78,7 +78,7 @@ func TestDemuxWithoutSteps(t *testing.T) {
 	}
 
 	got := make([][]Access, shards)
-	err := Demux(nil, NewSliceSource(accs), shards, false, route,
+	err := Demux(nil, NewSliceSource(accs), shards, false, nil, route,
 		func(shard int, b ShardBatch) error {
 			if b.Steps != nil {
 				return errors.New("unexpected step array")
@@ -102,7 +102,7 @@ func TestDemuxWithoutSteps(t *testing.T) {
 }
 
 func TestDemuxBadShardCount(t *testing.T) {
-	err := Demux(nil, NewSliceSource(nil), 0, false,
+	err := Demux(nil, NewSliceSource(nil), 0, false, nil,
 		func(Access) int { return 0 },
 		func(int, ShardBatch) error { return nil })
 	if err == nil {
@@ -113,7 +113,7 @@ func TestDemuxBadShardCount(t *testing.T) {
 func TestDemuxConsumeError(t *testing.T) {
 	accs := demuxTrace(4 * DefaultBatchSize)
 	boom := errors.New("boom")
-	err := Demux(nil, NewSliceSource(accs), 2, false,
+	err := Demux(nil, NewSliceSource(accs), 2, false, nil,
 		func(a Access) int { return int(a.Addr/16) % 2 },
 		func(shard int, b ShardBatch) error {
 			if shard == 1 {
@@ -129,7 +129,7 @@ func TestDemuxConsumeError(t *testing.T) {
 func TestDemuxContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Demux(ctx, NewSliceSource(demuxTrace(8*DefaultBatchSize)), 2, false,
+	err := Demux(ctx, NewSliceSource(demuxTrace(8*DefaultBatchSize)), 2, false, nil,
 		func(a Access) int { return int(a.Addr/16) % 2 },
 		func(int, ShardBatch) error { return nil })
 	if !errors.Is(err, context.Canceled) {
@@ -158,7 +158,7 @@ func TestDemuxSourceError(t *testing.T) {
 	srcErr := fmt.Errorf("decode failed")
 	src := &failAfter{n: DefaultBatchSize / 2, err: srcErr}
 	var seen atomic.Int64
-	err := Demux(nil, src, 2, false,
+	err := Demux(nil, src, 2, false, nil,
 		func(a Access) int { return int(a.Addr/16) % 2 },
 		func(_ int, b ShardBatch) error { seen.Add(int64(len(b.Accs))); return nil })
 	if !errors.Is(err, srcErr) {

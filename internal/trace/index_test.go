@@ -383,8 +383,8 @@ func TestIndexedSourceMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if src.Decoders() != decoders {
-			t.Fatalf("Decoders() = %d, want %d", src.Decoders(), decoders)
+		if src.decoders != decoders {
+			t.Fatalf("decoders = %d, want %d", src.decoders, decoders)
 		}
 		if src.Header() != hdr {
 			t.Fatalf("Header() = %+v, want %+v", src.Header(), hdr)

@@ -278,9 +278,9 @@ func (p *segPipe) halt() {
 // parallel successor of PrefetchSource's single decode-ahead goroutine.
 //
 // The decode pipeline starts lazily at the first read, and Reset returns
-// the source to the unstarted state, so a source that is handed to the
-// sharded demux (DemuxParallel, which reads segments itself and never
-// touches the sequential face) costs nothing here.
+// the source to the unstarted state. Sharded runs read this face too: the
+// demux producer pulls the reassembled stream while the workers decode
+// ahead of it.
 //
 // Like every Source, an IndexedFileSource is driven by one consumer
 // goroutine at a time.
@@ -341,10 +341,10 @@ func OpenIndexedFile(path string, decoders int) (*IndexedFileSource, error) {
 }
 
 // WithCache attaches the shared decoded-segment cache: subsequent decodes
-// (sequential face and DemuxParallel alike) consult it before touching the
-// raw bytes. A nil cache, an already-started pipeline, or a source without
-// file identity (NewIndexedSource over a bare ReaderAt) leaves the source
-// uncached. Returns s for chaining.
+// consult it before touching the raw bytes. A nil cache, an
+// already-started pipeline, or a source without file identity
+// (NewIndexedSource over a bare ReaderAt) leaves the source uncached.
+// Returns s for chaining.
 func (s *IndexedFileSource) WithCache(c *SegmentCache) *IndexedFileSource {
 	if c != nil && s.hasID && s.pipe == nil {
 		s.cache = c
@@ -386,14 +386,6 @@ func (s *IndexedFileSource) Header() Header { return s.idx.Header }
 
 // Index returns the decoded segment index. The caller must not mutate it.
 func (s *IndexedFileSource) Index() *Index { return s.idx }
-
-// Decoders returns the configured decoder-goroutine bound.
-func (s *IndexedFileSource) Decoders() int { return s.decoders }
-
-// started reports whether the sequential decode pipeline is running (the
-// source is mid-stream). DemuxParallel uses it to keep off the segment
-// table while the sequential face owns the stream position.
-func (s *IndexedFileSource) started() bool { return s.pipe != nil }
 
 // advance recycles the drained window (or releases the drained cache pin)
 // and installs the next one, starting the pipeline on first use.
@@ -512,14 +504,3 @@ func (s *IndexedFileSource) Close() error {
 	}
 	return nil
 }
-
-// SegmentSource reports the segment layout of a source that can decode
-// segments independently. The demux stage uses it to route per-segment
-// batches straight to shard queues (DemuxParallel) without a serial
-// producer. It is implemented by IndexedFileSource.
-type SegmentSource interface {
-	Source
-	Index() *Index
-}
-
-var _ SegmentSource = (*IndexedFileSource)(nil)

@@ -53,7 +53,7 @@ func cancelTrace(t *testing.T) []Access {
 func demuxGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	return strings.Count(string(buf[:n]), "internal/trace.DemuxStats")
+	return strings.Count(string(buf[:n]), "internal/trace.Demux")
 }
 
 // waitNoDemuxGoroutines polls until every demux goroutine has exited; a
