@@ -27,7 +27,7 @@ bench:
 # (results/bench_baseline.json), failing on regression beyond tolerance.
 # The benchmarks refresh the sweep file as a side effect of running.
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchedTable2|BenchmarkBatchedBus|BenchmarkProbeOverhead|BenchmarkShardedTable2|BenchmarkPrefetchMTR|BenchmarkParallelDecodeMTR|BenchmarkTelemetryOverhead|BenchmarkSegmentCacheSweep|BenchmarkCohdHotTrace' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchedTable2|BenchmarkBatchedBus|BenchmarkProbeOverhead|BenchmarkShardedTable2|BenchmarkParallelDecodeMTR|BenchmarkTelemetryOverhead|BenchmarkSegmentCacheSweep|BenchmarkCohdHotTrace' -benchtime 10x -benchmem .
 	$(GO) run ./cmd/benchcheck
 
 # Known-vulnerability scan of the module and its (stdlib-only) dependency
@@ -45,7 +45,6 @@ vuln:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDirectoryProtocols$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSnoopProtocols$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzTraceCodec$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzMTRRoundTrip$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzMTRDecode$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchBoundary$$' -fuzztime $(FUZZTIME) .

@@ -452,46 +452,35 @@ func NewGeneratorSource(name string, nodes int, seed int64, length int) (*Genera
 	return workload.NewSource(p, nodes, seed, length)
 }
 
-// OpenTraceFile opens a binary trace file (the streaming .mtr format or
-// the legacy fixed-record one) as a TraceSource. The caller must Close it.
+// OpenTraceFile opens a binary trace file of any version (.mtr v3, v2, or
+// the legacy fixed-record v1) as a sequentially decoded TraceSource; it is
+// how old files are read for conversion. Replay v3 files through
+// OpenIndexedTraceFile. The caller must Close it.
 func OpenTraceFile(path string) (*FileTraceSource, error) { return trace.OpenFile(path) }
 
 // NewFileTraceSource decodes a binary trace from any seekable reader,
 // e.g. a bytes.Reader holding an .mtr image.
 func NewFileTraceSource(r io.ReadSeeker) (*FileTraceSource, error) { return trace.NewFileSource(r) }
 
-// PrefetchTraceSource wraps another source with a decode goroutine running
-// one batch window ahead, so file IO and varint decode overlap the
-// consumer's work. It owns the inner source: Close closes it, Reset
-// rewinds it.
-type PrefetchTraceSource = trace.PrefetchSource
-
-// NewPrefetchTraceSource returns src wrapped with a prefetching decode
-// stage.
-func NewPrefetchTraceSource(src TraceSource) *PrefetchTraceSource {
-	return trace.NewPrefetchSource(src)
-}
-
 // IndexedTraceSource decodes an indexed (v3) .mtr image with parallel
 // segment-decode workers; it implements TraceSource, so it drops into any
-// run path, and sharded runs feed decoded segments straight to the engine
-// shards without a single-producer hand-off.
+// run path, sharded runs included.
 type IndexedTraceSource = trace.IndexedFileSource
 
 // NewIndexedTraceSource opens an indexed (v3) .mtr image for parallel
 // decode with the given worker count (0 = one per GOMAXPROCS). Input
-// without a segment index (v1/v2) returns ErrTraceNoIndex; use
-// OpenIndexedTraceFile for transparent fallback.
+// without a segment index (v1/v2) returns ErrTraceNoIndex.
 func NewIndexedTraceSource(r io.ReaderAt, size int64, decoders int) (*IndexedTraceSource, error) {
 	return trace.NewIndexedSource(r, size, decoders)
 }
 
-// OpenIndexedTraceFile opens a trace file with the fastest decode path its
-// format supports: indexed parallel decode for v3 files, a prefetching
-// sequential decode for v1/v2. Corrupt v3 files fail loudly here rather
-// than falling back.
+// OpenIndexedTraceFile opens a v3 trace file for indexed parallel decode
+// with the given worker count (0 = one per GOMAXPROCS). A v1/v2 file fails
+// with an error wrapping ErrTraceNoIndex that names the one-shot
+// conversion (`tracegen -in old.mtr -o new.mtr`; OpenTraceFile still reads
+// it), and a corrupt v3 file fails loudly.
 func OpenIndexedTraceFile(path string, decoders int) (TraceSource, error) {
-	return trace.OpenFileParallel(path, decoders)
+	return trace.OpenFileParallelCache(path, decoders, nil)
 }
 
 // TraceSegmentCache is a process-wide, memory-bounded, ref-counted LRU of
@@ -499,8 +488,8 @@ func OpenIndexedTraceFile(path string, decoders int) (TraceSource, error) {
 // segment index. Concurrent readers wanting the same segment decode it once
 // (single-flight) and share one immutable slab, so sweeps that replay one
 // trace across many cells — and cohd serving many requests over a hot
-// trace — skip redundant decode work. It only engages for indexed (v3)
-// files opened by path; v1/v2 and in-memory sources bypass it. Replay is
+// trace — skip redundant decode work. It engages for v3 files opened by
+// path; in-memory and generated sources bypass it. Replay is
 // bit-identical with or without the cache. Set it on Options.Cache /
 // RunConfig.Cache, or pass it to OpenIndexedTraceFileCache.
 type TraceSegmentCache = trace.SegmentCache
@@ -525,10 +514,9 @@ func OpenIndexedTraceFileCache(path string, decoders int, cache *TraceSegmentCac
 	return trace.OpenFileParallelCache(path, decoders, cache)
 }
 
-// NewTraceWriter returns a writer encoding accesses to w in the streaming
-// .mtr format (version 3, segment-indexed, by default — see
-// trace.NewWriterOptions for the version escape hatch). Close it to emit
-// the integrity trailer and the segment index.
+// NewTraceWriter returns a writer encoding accesses to w in the streaming,
+// segment-indexed .mtr v3 format, the only one any writer emits. Close it
+// to emit the integrity trailer and the segment index.
 func NewTraceWriter(w io.Writer, hdr TraceHeader) *TraceWriter { return trace.NewWriter(w, hdr) }
 
 // ReadTrace drains a source into memory.
@@ -720,6 +708,7 @@ var (
 	// ErrTraceBadMagic reports input that is not a trace file at all.
 	ErrTraceBadMagic = trace.ErrBadMagic
 	// ErrTraceNoIndex reports a trace without a segment index (v1/v2)
-	// where an indexed (v3) one was required.
+	// where an indexed (v3) one was required: every replay path. Convert
+	// the file once with `tracegen -in old.mtr -o new.mtr`.
 	ErrTraceNoIndex = trace.ErrNoIndex
 )

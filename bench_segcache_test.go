@@ -37,7 +37,6 @@ func segcacheBenchCells(path string) []RunConfig {
 				Nodes:      16,
 				CacheBytes: cb,
 				Policy:     p,
-				Decoders:   2,
 			})
 		}
 	}
@@ -183,12 +182,12 @@ func BenchmarkSegmentCacheSweep(b *testing.B) {
 func BenchmarkCohdHotTrace(b *testing.B) {
 	path, _ := writeEquivTraceFile(b, 2<<10)
 	reqs := []RunConfig{
-		{Engine: EngineDirectory, TraceFile: path, Nodes: 16, Policy: "conventional", Decoders: 2},
-		{Engine: EngineDirectory, TraceFile: path, Nodes: 16, Policy: "basic", Decoders: 2},
-		{Engine: EngineDirectory, TraceFile: path, Nodes: 16, Policy: "aggressive", Decoders: 2},
-		{Engine: EngineBus, TraceFile: path, Nodes: 16, Protocol: "mesi", Decoders: 2},
-		{Engine: EngineBus, TraceFile: path, Nodes: 16, Protocol: "adaptive", Decoders: 2},
-		{Engine: EngineBus, TraceFile: path, Nodes: 16, Protocol: "berkeley", Decoders: 2},
+		{Engine: EngineDirectory, TraceFile: path, Nodes: 16, Policy: "conventional"},
+		{Engine: EngineDirectory, TraceFile: path, Nodes: 16, Policy: "basic"},
+		{Engine: EngineDirectory, TraceFile: path, Nodes: 16, Policy: "aggressive"},
+		{Engine: EngineBus, TraceFile: path, Nodes: 16, Protocol: "mesi"},
+		{Engine: EngineBus, TraceFile: path, Nodes: 16, Protocol: "adaptive"},
+		{Engine: EngineBus, TraceFile: path, Nodes: 16, Protocol: "berkeley"},
 	}
 
 	submitAll := func(b *testing.B, srv *server.Server) []string {

@@ -1251,79 +1251,6 @@ func BenchmarkShardedTable2(b *testing.B) {
 	})
 }
 
-// BenchmarkPrefetchMTR prices the prefetching decode stage on .mtr replay:
-// the basic policy at 64 KB over a file-backed trace, pulled directly
-// versus through a PrefetchSource whose goroutine decodes one window
-// ahead. Counters are asserted bit-identical; on a single-CPU machine the
-// overlap cannot show, so the prefetch mode there measures pure handoff
-// overhead.
-func BenchmarkPrefetchMTR(b *testing.B) {
-	img := benchMTRImage(b, "MP3D")
-	run := func(b *testing.B, prefetch bool) (cost.Msgs, directory.Counters) {
-		b.Helper()
-		pl := placement.NewRoundRobin(16)
-		sys, err := directory.New(directory.Config{
-			Nodes: 16, Geometry: benchGeom, CacheBytes: 64 << 10,
-			Policy: core.Basic, Placement: pl,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := benchFileSource(b, img, true)
-		if prefetch {
-			src = trace.NewPrefetchSource(src)
-		}
-		defer src.Close()
-		if err := sys.RunSource(nil, src); err != nil {
-			b.Fatal(err)
-		}
-		return sys.Messages(), sys.Counters()
-	}
-
-	modes := []struct {
-		name     string
-		prefetch bool
-	}{
-		{"direct", false},
-		{"prefetch", true},
-	}
-	msgs := make([]cost.Msgs, len(modes))
-	counters := make([]directory.Counters, len(modes))
-	elapsed := make([]time.Duration, len(modes))
-	mallocs := make([]uint64, len(modes))
-	allocBytes := make([]uint64, len(modes))
-	b.Run("paired", func(b *testing.B) {
-		var before, after runtime.MemStats
-		for i := 0; i < b.N; i++ {
-			for mi, m := range modes {
-				runtime.ReadMemStats(&before)
-				start := time.Now()
-				msgs[mi], counters[mi] = run(b, m.prefetch)
-				elapsed[mi] += time.Since(start)
-				runtime.ReadMemStats(&after)
-				mallocs[mi] += after.Mallocs - before.Mallocs
-				allocBytes[mi] += after.TotalAlloc - before.TotalAlloc
-			}
-		}
-		if msgs[0] != msgs[1] || counters[0] != counters[1] {
-			b.Fatalf("prefetch run diverged: %+v/%+v vs %+v/%+v",
-				msgs[1], counters[1], msgs[0], counters[0])
-		}
-		measured := map[string]float64{"gomaxprocs": float64(runtime.GOMAXPROCS(0))}
-		for mi, m := range modes {
-			measured[m.name+"_ns_per_op"] = float64(elapsed[mi].Nanoseconds()) / float64(b.N)
-			measured[m.name+"_bytes_per_op"] = float64(allocBytes[mi]) / float64(b.N)
-			measured[m.name+"_allocs_per_op"] = float64(mallocs[mi]) / float64(b.N)
-		}
-		speedup := measured["direct_ns_per_op"] / measured["prefetch_ns_per_op"]
-		measured["speedup"] = speedup
-		b.ReportMetric(speedup, "speedup-prefetch")
-		if err := stats.UpdateBenchJSON("results/bench_sweep.json", "BenchmarkPrefetchMTR", measured); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
 // BenchmarkTelemetryOverhead prices the runtime telemetry layer: the basic
 // policy over an in-memory MP3D trace with Config.Stats nil ("off" — must
 // stay within noise of the uninstrumented hot path, since disabled

@@ -3,15 +3,20 @@ package migratory
 // Equivalence tests for the shared decoded-segment cache (TraceSegmentCache):
 // a cached replay must be bit-identical to an uncached one across both
 // untimed engines, several policies and protocols, sequential and sharded
-// execution, and any decoder count — the cache is a throughput knob, never
-// a semantics knob. Run under -race (make race / make ci) these double as
+// execution, and any decode width — the cache is a throughput knob, never
+// a semantics knob. Replay decodes on one worker per GOMAXPROCS, so the
+// tests vary GOMAXPROCS to vary the decode width. Run under -race (make race / make ci) these double as
 // the concurrency tests for the pin/eviction machinery.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"migratory/internal/trace"
@@ -51,8 +56,8 @@ func resultJSON(t *testing.T, cfg RunConfig) string {
 	t.Helper()
 	res, err := Run(nil, cfg)
 	if err != nil {
-		t.Fatalf("%s/%s%s shards=%d decoders=%d: %v",
-			cfg.Engine, cfg.Policy, cfg.Protocol, cfg.Shards, cfg.Decoders, err)
+		t.Fatalf("%s/%s%s shards=%d: %v",
+			cfg.Engine, cfg.Policy, cfg.Protocol, cfg.Shards, err)
 	}
 	blob, err := json.Marshal(res)
 	if err != nil {
@@ -61,8 +66,15 @@ func resultJSON(t *testing.T, cfg RunConfig) string {
 	return string(blob)
 }
 
+// atProcs runs fn with GOMAXPROCS set to n (and so n trace-decode
+// workers), restoring the previous setting afterwards.
+func atProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // TestSegmentCacheRunEquivalence sweeps {directory, bus} engines, three
-// variants each, shards {1, 8}, and decoders {1, 4}, comparing every cached
+// variants each, shards {1, 8}, and decode widths {1, 4}, comparing every cached
 // cell against its uncached twin. One cache is shared across the whole
 // matrix — exactly how a sweep or a cohd process uses it — and must see
 // both traffic and reuse by the end.
@@ -91,11 +103,14 @@ func TestSegmentCacheRunEquivalence(t *testing.T) {
 					Policy:     cell.policy,
 					Protocol:   cell.protocol,
 					Shards:     shards,
-					Decoders:   decoders,
 				}
-				want := resultJSON(t, cfg)
-				cfg.Cache = cache
-				if got := resultJSON(t, cfg); got != want {
+				var want, got string
+				atProcs(decoders, func() {
+					want = resultJSON(t, cfg)
+					cfg.Cache = cache
+					got = resultJSON(t, cfg)
+				})
+				if got != want {
 					t.Errorf("%s/%s%s shards=%d decoders=%d: cached result diverged\n got %s\nwant %s",
 						cell.engine, cell.policy, cell.protocol, shards, decoders, got, want)
 				}
@@ -114,45 +129,28 @@ func TestSegmentCacheRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestSegmentCacheLegacyBypass pins the v1/v2 fallback: unindexed traces
-// replay identically with a cache configured, and the cache itself sees
+// TestSegmentCacheLegacyBypass pins the v1/v2 refusal: the committed
+// legacy fixtures (MP3D, 2,000 accesses, 16 nodes, seed 1993) still decode
+// sequentially to the generator's accesses, but Run rejects them with
+// ErrTraceNoIndex and the conversion command, and a configured cache sees
 // zero traffic — no keys, no misses, no residency.
 func TestSegmentCacheLegacyBypass(t *testing.T) {
-	accs, err := GenerateWorkload("MP3D", 16, 1993, 10_000)
+	accs, err := GenerateWorkload("MP3D", 16, 1993, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-
-	v1 := filepath.Join(dir, "legacy.mtr")
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteTo(f, accs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	w := trace.NewWriterOptions(&buf, TraceHeader{BlockSize: 16, PageSize: 4096, Nodes: 16},
-		trace.WriterOptions{Version: 2})
-	for _, a := range accs {
-		if err := w.Write(a); err != nil {
+	for _, name := range []string{"v1", "v2"} {
+		path := filepath.Join("testdata", "legacy_"+name+".mtr")
+		src, err := OpenTraceFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(dir, "v2.mtr")
-	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+		got, err := ReadTrace(src)
+		src.Close()
+		if err != nil || !reflect.DeepEqual(got, accs) {
+			t.Fatalf("%s fixture does not decode to the generated MP3D trace (%d accesses, %v)", name, len(got), err)
+		}
 
-	for name, path := range map[string]string{"v1": v1, "v2": v2} {
 		cache := NewTraceSegmentCache(256 << 20)
 		cfg := RunConfig{
 			Engine:    EngineDirectory,
@@ -160,12 +158,10 @@ func TestSegmentCacheLegacyBypass(t *testing.T) {
 			Nodes:     16,
 			Policy:    "basic",
 			Shards:    2,
-			Decoders:  4,
+			Cache:     cache,
 		}
-		want := resultJSON(t, cfg)
-		cfg.Cache = cache
-		if got := resultJSON(t, cfg); got != want {
-			t.Errorf("%s: result with cache configured diverged", name)
+		if _, err := Run(nil, cfg); !errors.Is(err, ErrTraceNoIndex) || !strings.Contains(err.Error(), "tracegen -in") {
+			t.Errorf("%s: Run = %v, want ErrTraceNoIndex naming tracegen -in", name, err)
 		}
 		if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 ||
 			st.ResidentBytes != 0 || st.SingleFlightJoins != 0 || st.Evictions != 0 {
@@ -205,15 +201,16 @@ func TestSegmentCacheEvictionUnderLoad(t *testing.T) {
 		Nodes:     16,
 		Policy:    "aggressive",
 		Shards:    8,
-		Decoders:  4,
 	}
-	want := resultJSON(t, cfg)
-	cfg.Cache = cache
-	for i := 0; i < 3; i++ {
-		if got := resultJSON(t, cfg); got != want {
-			t.Fatalf("replay %d under eviction pressure diverged", i)
+	atProcs(4, func() {
+		want := resultJSON(t, cfg)
+		cfg.Cache = cache
+		for i := 0; i < 3; i++ {
+			if got := resultJSON(t, cfg); got != want {
+				t.Fatalf("replay %d under eviction pressure diverged", i)
+			}
 		}
-	}
+	})
 	st := cache.Stats()
 	if st.Evictions == 0 {
 		t.Fatalf("cache sized for 2 of %d segments never evicted: %+v", nsegs, st)

@@ -4,11 +4,18 @@
 // format, so arbitrarily long traces are written in constant memory, and
 // statistics are computed in streaming passes over the source.
 //
+// Every writer emits the indexed v3 format, and every replay path reads
+// only v3. -in decodes any version sequentially, so `-in old.mtr -o
+// new.mtr` is the one-shot conversion of a v1/v2 file; the output header
+// keeps each field the input header specifies, and -block/-nodes fill only
+// the fields it leaves at zero (v1 files carry no header at all).
+//
 // Usage:
 //
 //	tracegen -app MP3D -o mp3d.mtr            # generate a binary trace
 //	tracegen -app Water -stats                # print trace statistics
 //	tracegen -in mp3d.mtr -stats              # analyze an existing trace
+//	tracegen -in old.mtr -o new.mtr           # convert a v1/v2 trace to v3
 //	tracegen -list                            # list available profiles
 package main
 
@@ -35,14 +42,13 @@ func main() {
 		app       = flag.String("app", "", "application profile to generate")
 		in        = flag.String("in", "", "read an existing binary trace instead of generating")
 		out       = flag.String("o", "", "write the trace to this file (.mtr binary format)")
-		length    = flag.Int("length", 0, "trace length (0 = profile default)")
+		length    = flag.Int("length", 0, "trace length (0 = profile default, must be >= 0)")
 		seed      = flag.Int64("seed", 1993, "generator seed")
-		nodes     = flag.Int("nodes", 16, "processor count")
-		blockSize = flag.Int("block", 16, "block size for the statistics")
+		nodes     = flag.Int("nodes", 16, "processor count (with -in: only where the input header has none)")
+		blockSize = flag.Int("block", 16, "block size for the statistics (with -in: only where the input header has none)")
 		stats     = flag.Bool("stats", false, "print trace statistics")
 		list      = flag.Bool("list", false, "list available application profiles")
-		mtrVer    = flag.Int("mtr-version", 3, "output .mtr format version: 3 (indexed, parallel-decodable) or 2 (plain stream)")
-		segBytes  = flag.Int("segment-bytes", 0, "target encoded segment size for v3 output (0 = default)")
+		segBytes  = flag.Int("segment-bytes", 0, "target encoded segment size of the .mtr output (0 = default)")
 
 		prof = cliutil.RegisterProfile("tracegen")
 		tele = cliutil.RegisterTelemetry("tracegen")
@@ -66,30 +72,23 @@ func main() {
 		return
 	}
 
+	if *length < 0 {
+		cliutil.Usagef("tracegen", "-length must be >= 0 (0 = profile default; got %d)", *length)
+	}
+
 	run = tele.Start(sim.Options{Nodes: *nodes, Seed: *seed, Length: *length}, *in,
 		map[string]any{"app": *app, "out": *out, "block": *blockSize})
 	defer run.Close(nil)
 
-	geom, err := memory.NewGeometry(*blockSize, 4096)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *mtrVer != 2 && *mtrVer != 3 {
-		cliutil.Usagef("tracegen", "-mtr-version must be 2 or 3 (got %d)", *mtrVer)
-	}
-
+	hdr := trace.Header{BlockSize: *blockSize, PageSize: sim.PageSize, Nodes: *nodes}
 	var src trace.Source
 	switch {
 	case *in != "":
-		// Decode ahead of the consumer so file IO and varint decode overlap
-		// the streaming statistics passes: indexed (v3) input decodes
-		// segments on parallel workers, older versions on a prefetch
-		// goroutine.
-		fs, err := trace.OpenFileParallel(*in, 0)
+		fs, err := trace.OpenFile(*in)
 		if err != nil {
 			fatal(err)
 		}
+		hdr = inputHeader(fs.Header(), hdr)
 		src = fs
 	case *app != "":
 		prof, err := workload.ProfileByName(*app)
@@ -105,8 +104,13 @@ func main() {
 	}
 	defer src.Close()
 
+	geom, err := memory.NewGeometry(hdr.BlockSize, hdr.PageSize)
+	if err != nil {
+		fatal(err)
+	}
+
 	if *out != "" {
-		n, err := export(src, *out, geom, *nodes, trace.WriterOptions{Version: *mtrVer, SegmentBytes: *segBytes})
+		n, err := export(src, *out, hdr, trace.WriterOptions{SegmentBytes: *segBytes})
 		if err != nil {
 			fatal(err)
 		}
@@ -117,24 +121,36 @@ func main() {
 	}
 
 	if *stats || *out == "" {
-		if err := report(src, geom, *nodes); err != nil {
+		if err := report(src, geom, hdr.Nodes); err != nil {
 			fatal(err)
 		}
 	}
 	run.Close(nil)
 }
 
+// inputHeader is the header a converted trace keeps: every field the input
+// header specifies, with the flag-derived defaults filling only the zero
+// ones.
+func inputHeader(in, flags trace.Header) trace.Header {
+	if in.BlockSize == 0 {
+		in.BlockSize = flags.BlockSize
+	}
+	if in.PageSize == 0 {
+		in.PageSize = flags.PageSize
+	}
+	if in.Nodes == 0 {
+		in.Nodes = flags.Nodes
+	}
+	return in
+}
+
 // export streams the source into an .mtr file and returns the access count.
-func export(src trace.Source, path string, geom memory.Geometry, nodes int, opts trace.WriterOptions) (int, error) {
+func export(src trace.Source, path string, hdr trace.Header, opts trace.WriterOptions) (int, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	w := trace.NewWriterOptions(f, trace.Header{
-		BlockSize: geom.BlockSize(),
-		PageSize:  geom.PageSize(),
-		Nodes:     nodes,
-	}, opts)
+	w := trace.NewWriterOptions(f, hdr, opts)
 	n, err := trace.Copy(w, src)
 	if err != nil {
 		f.Close()

@@ -111,24 +111,25 @@
 // re-openable stream (Next until io.EOF, Reset to rewind, Close when
 // done) — so traces never have to be materialized. Sources come from
 // NewSliceTraceSource (in-memory), NewGeneratorSource (lazy synthetic
-// workload, bit-identical to GenerateWorkload), or OpenTraceFile (the
-// compact varint-delta ".mtr" binary format written by NewTraceWriter and
-// cmd/tracegen; the legacy fixed-record format is still readable).
-// NewTraceWriter now emits an indexed v3 by default: the stream is cut
+// workload, bit-identical to GenerateWorkload), or a trace file in the
+// compact varint-delta ".mtr" format written by NewTraceWriter and
+// cmd/tracegen. Writers emit only the indexed v3 format: the stream is cut
 // into independently decodable segments and a footer index lets
-// OpenIndexedTraceFile / NewIndexedTraceSource decode segments on several
-// workers (RunConfig.Decoders, the shared -decoders flag) while
-// reassembling the exact sequential stream, which sharded runs then demux
-// to their shards through one producer.
-// Opening a v1/v2 trace through the indexed path reports ErrTraceNoIndex.
+// OpenIndexedTraceFile / NewIndexedTraceSource decode segments on one
+// worker per GOMAXPROCS while reassembling the exact sequential stream,
+// which sharded runs then demux to their shards through one producer.
+// Every replay path (RunConfig.TraceFile, the shared -trace flag) reads v3
+// only; a v1/v2 file fails with ErrTraceNoIndex and a hint to convert it
+// once with `tracegen -in old.mtr -o new.mtr`. OpenTraceFile still decodes
+// every version sequentially, which is what that conversion uses.
 // A process-wide decoded-segment cache (NewTraceSegmentCache, threaded via
 // RunConfig.Cache or OpenIndexedTraceFileCache, sized by the shared
 // -trace-cache-bytes flag) lets sweeps and cohd decode each indexed trace
 // once and replay it many times from immutable ref-counted slabs — keyed
 // by file identity so rewritten files never serve stale data, bounded by
 // LRU eviction, and observable through TraceCacheStats (Stats, /metrics,
-// run manifests). Like Decoders it cannot change a result: cached replay
-// is bit-identical and plays no part in RunConfig.Digest.
+// run manifests). It cannot change a result: cached replay is
+// bit-identical and plays no part in RunConfig.Digest.
 // Run streams whichever source the config names and honors cancellation; the
 // deprecated per-engine wrappers RunDirectory, RunBus, and RunTimedSource
 // remain for callers managing their own sources, and AnalyzeTraceSource

@@ -342,30 +342,6 @@ func FuzzSegmentIndex(f *testing.F) {
 	})
 }
 
-// FuzzTraceCodec round-trips arbitrary traces through the binary format.
-func FuzzTraceCodec(f *testing.F) {
-	fuzzSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		accs := decodeAccesses(data, 64, 250)
-		var buf bytes.Buffer
-		if err := trace.WriteTo(&buf, accs); err != nil {
-			t.Fatal(err)
-		}
-		got, err := trace.ReadFrom(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(accs) {
-			t.Fatalf("round trip: %d != %d", len(got), len(accs))
-		}
-		for i := range accs {
-			if got[i] != accs[i] {
-				t.Fatalf("record %d: %v != %v", i, got[i], accs[i])
-			}
-		}
-	})
-}
-
 // FuzzSegmentCacheKey rewrites a trace file in place and requires the
 // shared segment cache to never serve segments decoded from the previous
 // bytes: file identity (size + mtime + inode) must fence every rewrite,

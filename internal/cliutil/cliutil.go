@@ -1,10 +1,9 @@
 // Package cliutil collects the flag parsing, option wiring, and trace
 // loading shared by the cmd/ mains, so each command declares only what is
 // unique to it: the common sweep flags (-apps, -length, -seed, -nodes,
-// -parallelism, -shards, -decoders, -trace, -stream), the parallelism
-// guard, signal-cancelled
-// contexts, policy and bus-protocol lookup, event-filter parsing, and the
-// fatal/usage exit helpers.
+// -parallelism, -shards, -trace, -stream), the parallelism guard,
+// signal-cancelled contexts, policy and bus-protocol lookup, event-filter
+// parsing, and the fatal/usage exit helpers.
 package cliutil
 
 import (
@@ -41,7 +40,6 @@ type Flags struct {
 	Nodes           *int
 	Parallelism     *int
 	Shards          *int
-	Decoders        *int
 	Trace           *string
 	Stream          *bool
 	TraceCacheBytes *int64
@@ -60,8 +58,7 @@ func Register(name string) *Flags {
 	f.Nodes = flag.Int("nodes", 16, "processor count")
 	f.Parallelism = flag.Int("parallelism", 0, "sweep worker goroutines (0 = all CPUs, 1 = sequential; results are identical either way)")
 	f.Shards = flag.Int("shards", 1, "engine shards per untimed simulation run, split by cache-set index (1 = sequential, -1 = all CPUs; results are identical either way)")
-	f.Decoders = flag.Int("decoders", 0, "parallel trace-decode workers for indexed (v3) .mtr files (0 = all CPUs, 1 = sequential decode; results are identical either way)")
-	f.Trace = flag.String("trace", "", "run over a binary trace file (from tracegen) instead of the built-in workloads")
+	f.Trace = flag.String("trace", "", "run over a v3 .mtr trace file (from tracegen) instead of the built-in workloads")
 	f.Stream = flag.Bool("stream", false, "regenerate traces lazily per simulation cell instead of materializing them (O(1) trace memory; bit-identical results)")
 	f.TraceCacheBytes = flag.Int64("trace-cache-bytes", trace.DefaultTraceCacheBytes, "decoded-segment cache capacity shared by every cell replaying an indexed (v3) .mtr trace (0 = decode per cell; results are identical either way)")
 	return f
@@ -91,7 +88,6 @@ func (f *Flags) Cache() *trace.SegmentCache {
 func (f *Flags) Validate() {
 	f.validateWorkerFlag("-parallelism", *f.Parallelism, 0)
 	f.validateWorkerFlag("-shards", *f.Shards, -1)
-	f.validateWorkerFlag("-decoders", *f.Decoders, 0)
 	if *f.Length < 0 {
 		Usagef(f.name, "-length must be >= 0 (0 = per-app default; got %d)", *f.Length)
 	}
@@ -147,7 +143,6 @@ func (f *Flags) Options(ctx context.Context) sim.Options {
 		Stream:      *f.Stream,
 		Parallelism: *f.Parallelism,
 		Shards:      *f.Shards,
-		Decoders:    *f.Decoders,
 		Cache:       f.Cache(),
 	}
 	if *f.Apps != "" {
@@ -166,25 +161,23 @@ func (f *Flags) TraceApps() ([]*sim.App, error) {
 	if *f.Trace == "" {
 		return nil, nil
 	}
-	app, err := TraceApp(*f.Trace, *f.Nodes, *f.Decoders, f.Cache())
+	app, err := TraceApp(*f.Trace, *f.Nodes, f.Cache())
 	if err != nil {
 		return nil, err
 	}
 	return []*sim.App{app}, nil
 }
 
-// TraceApp wraps one binary trace file (any .mtr version or the legacy
-// fixed-record format) as a sim.App: the usage-based placement comes from
-// one streaming profiling pass, and each Open re-reads the file from the
-// start. Indexed (v3) files open as an IndexedFileSource with decoders
-// segment-decode workers; older versions fall back to sequential decode
-// ahead of the simulation on a prefetch goroutine. Either way decode
-// overlaps the engine's work, sharded or not.
+// TraceApp wraps one MTR3 trace file as a sim.App: the usage-based
+// placement comes from one streaming profiling pass, and each Open
+// re-reads the file from the start as an IndexedFileSource whose segments
+// decode on one worker per GOMAXPROCS, ahead of the engine, sharded or
+// not. A v1/v2 file fails with the conversion hint (trace.ErrNoIndex).
 // cache, when non-nil, lets every opened source (the profiling pass
 // included) share decoded segments instead of re-decoding per cell.
-func TraceApp(path string, nodes, decoders int, cache *trace.SegmentCache) (*sim.App, error) {
+func TraceApp(path string, nodes int, cache *trace.SegmentCache) (*sim.App, error) {
 	return sim.NewSourceApp(path, func() (trace.Source, error) {
-		return trace.OpenFileParallelCache(path, decoders, cache)
+		return trace.OpenFileParallelCache(path, 0, cache)
 	}, nodes)
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"migratory/internal/sim"
+	"migratory/internal/trace"
 )
 
 // maxRequestBody bounds run-request bodies; configs are small JSON objects.
@@ -101,7 +102,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // waitAndWrite blocks until the job is terminal (or the client goes away)
 // and writes it with the status code its outcome maps to: 200 done, 504
-// deadline exceeded, 500 other failures.
+// deadline exceeded, 422 a trace file the run cannot read (a v1/v2 file,
+// or a damaged one: the caller's input, not a server fault), 500 other
+// failures.
 func (s *Server) waitAndWrite(w http.ResponseWriter, r *http.Request, j *Job) {
 	select {
 	case <-j.Done():
@@ -111,9 +114,13 @@ func (s *Server) waitAndWrite(w http.ResponseWriter, r *http.Request, j *Job) {
 	snap := s.Snapshot(j)
 	code := http.StatusOK
 	if snap.Status == StatusFailed {
-		if errors.Is(snap.Err(), context.DeadlineExceeded) {
+		switch err := snap.Err(); {
+		case errors.Is(err, context.DeadlineExceeded):
 			code = http.StatusGatewayTimeout
-		} else {
+		case errors.Is(err, trace.ErrNoIndex), errors.Is(err, trace.ErrBadMagic),
+			errors.Is(err, trace.ErrCorrupt), errors.Is(err, trace.ErrTruncated):
+			code = http.StatusUnprocessableEntity
+		default:
 			code = http.StatusInternalServerError
 		}
 	}

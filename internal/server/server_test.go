@@ -359,42 +359,51 @@ func TestCacheHitAndMetrics(t *testing.T) {
 	}
 }
 
-// TestCacheHitAcrossDecoders checks that configs differing only in decode
-// parallelism share one cache entry: Decoders is a throughput knob with no
-// effect on results, so the digest strips it and a client that replays a
-// trace with -decoders 8 is served the run another client computed with
-// -decoders 1.
-func TestCacheHitAcrossDecoders(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
+// TestSubmitLegacyTrace422 checks that a wait:true run over a trace file
+// no replay path reads (a committed v2 fixture) is answered as the
+// caller's input error: 422, with the conversion command in the body, not
+// a 500 server fault.
+func TestSubmitLegacyTrace422(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-	cfg := smallCfg(1)
-	cfg.Decoders = 1
-	j1, err := s.Submit(cfg, 0, false)
+	path, err := filepath.Abs(filepath.Join("..", "..", "testdata", "legacy_v2.mtr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-j1.Done()
-	first := s.Snapshot(j1)
-	if first.Status != StatusDone || first.CacheHit {
-		t.Fatalf("first run: %+v", first)
-	}
-
-	cfg.Decoders = 8
-	j2, err := s.Submit(cfg, 0, false)
+	cfg := sim.RunConfig{Engine: sim.EngineDirectory, TraceFile: path, Policy: "basic"}
+	body, _ := json.Marshal(submitRequest{Config: cfg, Wait: true})
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-j2.Done():
-	case <-time.After(time.Second):
-		t.Fatal("cross-decoders cache hit was not immediate")
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422: %s", resp.StatusCode, b)
 	}
-	second := s.Snapshot(j2)
-	if second.Status != StatusDone || !second.CacheHit {
-		t.Fatalf("run with different Decoders missed the cache: %+v", second)
+	if !strings.Contains(string(b), "tracegen -in") {
+		t.Fatalf("body lacks the conversion hint: %s", b)
 	}
-	if !bytes.Equal(first.Result, second.Result) {
-		t.Fatal("cached result bytes diverge from the original")
+}
+
+// TestSubmitDecodersField400 checks that the retired "decoders" field is
+// an unknown field to the strict request decoder: 400, not a silent no-op.
+func TestSubmitDecodersField400(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"config":{"engine":"directory","workload":"MP3D","policy":"basic","length":5000,"decoders":2},"wait":true}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status = %d, want 400: %s", resp.StatusCode, b)
 	}
 }
 

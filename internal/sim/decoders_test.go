@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"migratory/internal/trace"
@@ -48,7 +49,9 @@ func writeV3Trace(t *testing.T, app string, nodes, length int) string {
 // decode: replaying an indexed trace with concurrent decoders must be
 // bit-identical to the sequential decode, across policies and protocols,
 // both engines, and every sharding width — decode parallelism is a
-// throughput knob, never a semantics knob.
+// throughput knob, never a semantics knob. Run decodes on one worker per
+// GOMAXPROCS, so the matrix varies GOMAXPROCS: 1 is the sequential
+// reference, 4 an explicit width, and the test's own setting the default.
 func TestRunDecodersEquivalence(t *testing.T) {
 	path := writeV3Trace(t, "MP3D", 16, 24_000)
 
@@ -59,6 +62,14 @@ func TestRunDecodersEquivalence(t *testing.T) {
 		{Engine: EngineBus, Protocol: "mesi"},
 		{Engine: EngineBus, Protocol: "adaptive"},
 		{Engine: EngineBus, Protocol: "adaptive-migrate-first"},
+	}
+	// runAt runs cfg with GOMAXPROCS, and so the decode width, set to procs
+	// (0 = leave it as is).
+	runAt := func(procs int, cfg RunConfig) (*RunResult, error) {
+		if procs > 0 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		}
+		return Run(context.Background(), cfg)
 	}
 	for _, base := range bases {
 		base.TraceFile = path
@@ -71,8 +82,7 @@ func TestRunDecodersEquivalence(t *testing.T) {
 				cfg := base
 				cfg.Shards = shards
 
-				cfg.Decoders = 1 // sequential reference
-				seq, err := Run(context.Background(), cfg)
+				seq, err := runAt(1, cfg) // sequential reference
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,8 +92,7 @@ func TestRunDecodersEquivalence(t *testing.T) {
 				}
 
 				for _, dec := range []int{4, 0} { // explicit width and auto
-					cfg.Decoders = dec
-					par, err := Run(context.Background(), cfg)
+					par, err := runAt(dec, cfg)
 					if err != nil {
 						t.Fatalf("shards=%d decoders=%d: %v", shards, dec, err)
 					}
@@ -97,29 +106,27 @@ func TestRunDecodersEquivalence(t *testing.T) {
 	}
 }
 
-// TestDigestDecodersInvariant pins the cache-key contract for the new
-// knob: decode parallelism cannot affect results, so it must not affect
-// the digest either — cohd serves cache hits to clients that only differ
-// in -decoders, and digests minted before the field existed stay valid.
+// TestDigestDecodersInvariant pins the cache-key contract across the
+// retirement of the decode-width knob: Digest always stripped Decoders, so
+// removing the field must leave every digest as it was — cohd's on-disk
+// result caches and the benchmark goldens stay valid. The values were
+// minted while the field still existed (with Decoders 0 and 8 alike).
 func TestDigestDecodersInvariant(t *testing.T) {
-	base := RunConfig{Engine: EngineDirectory, Workload: "MP3D", Policy: "basic"}
-	want, err := base.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dec := range []int{0, 1, 8} {
-		cfg := base
-		cfg.Decoders = dec
-		got, err := cfg.Digest()
+	for _, tc := range []struct {
+		cfg  RunConfig
+		want string
+	}{
+		{RunConfig{Engine: EngineDirectory, Workload: "MP3D", Policy: "basic"},
+			"e45ffe034ae46fe58a45d539b42b8cfa58c4d9d8fab76221a9b67ac4179503af"},
+		{RunConfig{Engine: EngineBus, Workload: "Water", Protocol: "adaptive", CacheBytes: 65536},
+			"cc0f0797020d9b9e513103880731e0a745bd243307ec843260d3466e80197fb6"},
+	} {
+		got, err := tc.cfg.Digest()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("Decoders=%d changed the digest: %s vs %s", dec, got, want)
+		if got != tc.want {
+			t.Fatalf("%+v: digest %s, want %s", tc.cfg, got, tc.want)
 		}
-	}
-
-	if err := (RunConfig{Engine: EngineDirectory, Workload: "MP3D", Policy: "basic", Decoders: -1}).Validate(); err == nil {
-		t.Fatal("Validate accepted negative Decoders")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"migratory/internal/core"
 	"migratory/internal/cost"
@@ -71,10 +70,11 @@ type RunConfig struct {
 	// Exactly one of Workload and TraceFile must be set (unless OpenSource
 	// supplies the trace).
 	Workload string `json:"workload,omitempty"`
-	// TraceFile is a trace to replay (.mtr or legacy format). Indexed (v3)
-	// files decode their segments on Decoders workers; older versions
-	// decode sequentially behind a prefetch goroutine. Mutually exclusive
-	// with Workload.
+	// TraceFile is an MTR3 (.mtr v3) trace to replay; its segments decode
+	// on one worker per GOMAXPROCS. A v1/v2 file is rejected with an error
+	// wrapping trace.ErrNoIndex that names the one-shot conversion
+	// (`tracegen -in old.mtr -o new.mtr`). Mutually exclusive with
+	// Workload.
 	TraceFile string `json:"trace_file,omitempty"`
 
 	// Nodes is the processor count (0 = the paper's 16).
@@ -115,12 +115,6 @@ type RunConfig struct {
 	// to a power of two). Results stay bit-identical. The timing engine
 	// rejects sharding.
 	Shards int `json:"shards,omitempty"`
-	// Decoders bounds the parallel trace-decode workers used when the run
-	// reads an indexed (MTR3) trace file: 0 = one per GOMAXPROCS, >= 1
-	// explicit. Results are bit-identical at any setting, so Digest()
-	// ignores the field — the same run caches identically regardless of
-	// decode parallelism.
-	Decoders int `json:"decoders,omitempty"`
 	// TimingParams overrides the DASH-like latency parameters (nil =
 	// timing.DefaultParams). Timing engine only.
 	TimingParams *timing.Params `json:"timing_params,omitempty"`
@@ -137,9 +131,9 @@ type RunConfig struct {
 	// placement profiling and the simulation each open their own.
 	OpenSource func() (trace.Source, error) `json:"-"`
 	// Cache, when non-nil, is the shared decoded-segment cache consulted
-	// when TraceFile names an indexed (MTR3) trace. Like Decoders it cannot
-	// change the result — only how often segments are decoded — so it is
-	// not part of the wire format or the cache key (Digest ignores it).
+	// when TraceFile names a trace. It cannot change the result — only how
+	// often segments are decoded — so it is not part of the wire format or
+	// the cache key (Digest ignores it).
 	Cache *trace.SegmentCache `json:"-"`
 	// PlacementPolicy, when non-nil, bypasses Placement with a prepared
 	// policy (for example an App's profiled placement).
@@ -226,9 +220,6 @@ func (c RunConfig) Validate() error {
 	}
 	if c.Shards < -1 {
 		return fmt.Errorf("sim: bad shard count %d", c.Shards)
-	}
-	if c.Decoders < 0 {
-		return fmt.Errorf("sim: bad decoder count %d (want 0 for auto or >= 1)", c.Decoders)
 	}
 
 	// Cross-engine field discipline: a setting the selected engine would
@@ -349,15 +340,15 @@ func (c RunConfig) timingConfig(geom memory.Geometry, pol core.Policy) timing.Co
 	}
 }
 
-// openSource opens the config's trace: the in-process factory, the trace
-// file (indexed parallel decode for MTR3, prefetched sequential decode for
-// older versions), or the named workload generator.
+// openSource opens the config's trace: the in-process factory, the MTR3
+// trace file (indexed decode on one worker per GOMAXPROCS), or the named
+// workload generator.
 func (c RunConfig) openSource() (trace.Source, error) {
 	switch {
 	case c.OpenSource != nil:
 		return c.OpenSource()
 	case c.TraceFile != "":
-		return trace.OpenFileParallelCache(c.TraceFile, c.resolveDecoders(), c.Cache)
+		return trace.OpenFileParallelCache(c.TraceFile, 0, c.Cache)
 	default:
 		prof, err := workload.ProfileByName(c.Workload)
 		if err != nil {
@@ -404,16 +395,6 @@ func (c RunConfig) placementFor() (placement.Policy, error) {
 	}
 }
 
-// resolveDecoders maps the config's Decoders to the decode worker count:
-// 0 means one per GOMAXPROCS. Purely a throughput knob — results and
-// Digest() are identical at any setting.
-func (c RunConfig) resolveDecoders() int {
-	if c.Decoders > 0 {
-		return c.Decoders
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // digestVersion prefixes the digest material; bump it whenever a change
 // makes old cached results non-comparable (new semantics for an existing
 // field, a changed default, a different result encoding).
@@ -429,10 +410,6 @@ func (c RunConfig) Digest() (string, error) {
 	if c.OpenSource != nil || c.PlacementPolicy != nil || c.policy != nil {
 		return "", errors.New("sim: config with in-process overrides has no digest")
 	}
-	// Decode parallelism cannot change the result, so it must not change
-	// the cache key: strip it before hashing (omitempty then drops the
-	// field, keeping digests comparable with pre-Decoders caches too).
-	c.Decoders = 0
 	blob, err := json.Marshal(c.withDefaults())
 	if err != nil {
 		return "", err

@@ -68,11 +68,6 @@ type Options struct {
 	// so its runs cannot be partitioned. Parallelism composes with Shards
 	// multiplicatively — shards × workers goroutines can be live at once.
 	Shards int
-	// Decoders bounds the parallel segment-decode workers of indexed
-	// (MTR3) trace files (see RunConfig.Decoders): 0 = one per GOMAXPROCS,
-	// >= 1 explicit. Purely a throughput knob; results are bit-identical at
-	// any setting.
-	Decoders int
 	// Cache, when non-nil, is the shared decoded-segment cache every cell
 	// of the sweep consults before decoding an indexed (MTR3) trace file:
 	// the first cell decodes each segment once and the rest replay the
@@ -101,10 +96,10 @@ type Options struct {
 	Stats *telemetry.RunStats
 }
 
-// cachedOpen wraps a source factory so every indexed file source it yields
-// consults the sweep's shared segment cache. Non-indexed sources (slices,
-// generators, v1/v2 files) pass through untouched, and a nil cache returns
-// the factory as-is.
+// cachedOpen wraps a source factory so every trace-file source it yields
+// (an IndexedFileSource, since replay reads only MTR3) consults the
+// sweep's shared segment cache. In-memory and generated sources pass
+// through untouched, and a nil cache returns the factory as-is.
 func (o Options) cachedOpen(open func() (trace.Source, error)) func() (trace.Source, error) {
 	if o.Cache == nil {
 		return open
@@ -273,7 +268,6 @@ func RunDirectoryCell(app *App, opts Options, policy core.Policy, cacheBytes, bl
 		CacheBytes:      cacheBytes,
 		BlockSize:       blockSize,
 		Shards:          shards,
-		Decoders:        opts.Decoders,
 		Probes:          probes,
 		Stats:           opts.Stats,
 		Cache:           opts.Cache,
@@ -539,7 +533,6 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 			Protocol:   p.String(),
 			CacheBytes: cb,
 			Shards:     shards,
-			Decoders:   opts.Decoders,
 			Probes:     probes,
 			Stats:      opts.Stats,
 			Cache:      opts.Cache,

@@ -41,7 +41,9 @@ package trace
 //
 // Sequential readers (Decoder, FileSource) handle MTR3 by decoding the
 // record stream exactly like MTR2 and then validating the index
-// structurally; v1/v2 files carry no index and keep decoding as before.
+// structurally. v1/v2 files carry no index: the sequential readers still
+// decode them so `tracegen -in` can convert them, and every replay path
+// rejects them with ErrNoIndex.
 
 import (
 	"encoding/binary"
@@ -77,7 +79,8 @@ const maxIndexBytes = 1 << 26
 
 // ErrNoIndex is returned by ReadIndex and the indexed-source constructors
 // when the input is a valid trace format without a segment index (MTR1 or
-// MTR2): the caller should fall back to sequential decode.
+// MTR2). No replay path reads such a file; `tracegen -in old.mtr -o
+// new.mtr` converts it to MTR3 once.
 var ErrNoIndex = errors.New("trace: no segment index (not an MTR3 file)")
 
 // Segment describes one independently decodable slice of an MTR3 record
@@ -209,10 +212,10 @@ func parseIndexEntries(body []byte, headerEnd, indexOff int64) ([]Segment, uint6
 }
 
 // ReadIndex reads and validates the segment index of an MTR3 trace of the
-// given size. MTR1/MTR2 inputs return ErrNoIndex (fall back to sequential
-// decode); a missing or cut-off footer returns ErrTruncated; any
-// structural lie — bad index CRC, overlapping or gapped segments,
-// implausible entries, a trailer that disagrees — returns ErrCorrupt.
+// given size. MTR1/MTR2 inputs return ErrNoIndex; a missing or cut-off
+// footer returns ErrTruncated; any structural lie — bad index CRC,
+// overlapping or gapped segments, implausible entries, a trailer that
+// disagrees — returns ErrCorrupt.
 func ReadIndex(r io.ReaderAt, size int64) (*Index, error) {
 	// Magic and geometry header.
 	head := make([]byte, 4+3*binary.MaxVarintLen64)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"migratory/internal/memory"
@@ -32,7 +33,7 @@ func indexTestAccesses(n int) []Access {
 func encodeMTR3(t *testing.T, hdr Header, accs []Access, segBytes int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, hdr, WriterOptions{Version: 3, SegmentBytes: segBytes})
+	w := NewWriterOptions(&buf, hdr, WriterOptions{SegmentBytes: segBytes})
 	for _, a := range accs {
 		if err := w.Write(a); err != nil {
 			t.Fatal(err)
@@ -130,57 +131,24 @@ func TestMTR3IndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMTRVersionMatrix pins the compatibility contract: every format
-// version decodes to the same accesses through the sequential reader, and
-// OpenFileParallel picks the indexed path for v3 and the prefetch fallback
-// for v1/v2.
+// TestMTRVersionMatrix pins the compatibility contract: the committed v1
+// and v2 fixtures and their v3 re-encoding decode to the same accesses
+// through the sequential reader, the v3 file replays identically through
+// OpenFileParallelCache's indexed path, and that replay path refuses v1/v2
+// with ErrNoIndex and the conversion command.
 func TestMTRVersionMatrix(t *testing.T) {
-	hdr := Header{BlockSize: 16, PageSize: 4096, Nodes: 8}
-	accs := indexTestAccesses(3000)
-	dir := t.TempDir()
-
-	write := func(name string, encode func(f *os.File) error) string {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := encode(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
+	v1Hdr, v1 := readFile(t, legacyFixture("v1"))
+	hdr, accs := readFile(t, legacyFixture("v2"))
+	if want := (Header{BlockSize: 16, PageSize: 4096, Nodes: 16}); hdr != want || v1Hdr != (Header{}) {
+		t.Fatalf("fixture headers v1 %+v, v2 %+v; want zero and %+v", v1Hdr, hdr, want)
 	}
-	v1 := write("v1.mtr", func(f *os.File) error {
-		return WriteTo(f, accs)
-	})
-	v2 := write("v2.mtr", func(f *os.File) error {
-		w := NewWriterOptions(f, hdr, WriterOptions{Version: 2})
-		for _, a := range accs {
-			if err := w.Write(a); err != nil {
-				return err
-			}
-		}
-		return w.Close()
-	})
-	v3 := write("v3.mtr", func(f *os.File) error {
-		w := NewWriterOptions(f, hdr, WriterOptions{Version: 3, SegmentBytes: 2048})
-		for _, a := range accs {
-			if err := w.Write(a); err != nil {
-				return err
-			}
-		}
-		return w.Close()
-	})
+	v3 := filepath.Join(t.TempDir(), "v3.mtr")
+	if err := os.WriteFile(v3, encodeMTR3(t, hdr, accs, 2048), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	check := func(name string, src Source) {
+	check := func(name string, got []Access) {
 		t.Helper()
-		got, err := ReadAll(src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		if len(got) != len(accs) {
 			t.Fatalf("%s: decoded %d accesses, want %d", name, len(got), len(accs))
 		}
@@ -189,33 +157,34 @@ func TestMTRVersionMatrix(t *testing.T) {
 				t.Fatalf("%s: access %d: %+v != %+v", name, i, got[i], accs[i])
 			}
 		}
-		if err := src.Close(); err != nil {
-			t.Fatalf("%s: close: %v", name, err)
-		}
+	}
+	check("v1 sequential", v1)
+	_, got := readFile(t, v3)
+	check("v3 sequential", got)
+
+	src, err := OpenFileParallelCache(v3, 4, nil)
+	if err != nil {
+		t.Fatalf("v3 parallel: %v", err)
+	}
+	if _, ok := src.(*IndexedFileSource); !ok {
+		t.Fatalf("v3: OpenFileParallelCache returned %T, want the indexed source", src)
+	}
+	got, err = ReadAll(src)
+	if err != nil {
+		t.Fatalf("v3 parallel: %v", err)
+	}
+	check("v3 parallel", got)
+	if err := src.Close(); err != nil {
+		t.Fatalf("v3 parallel: close: %v", err)
 	}
 
-	for _, tc := range []struct {
-		name, path string
-		indexed    bool
-	}{{"v1", v1, false}, {"v2", v2, false}, {"v3", v3, true}} {
-		fs, err := OpenFile(tc.path)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", tc.name, err)
+	// v1/v2 input on the replay path is a typed refusal naming the fix.
+	for _, version := range []string{"v1", "v2"} {
+		path := legacyFixture(version)
+		if _, err := OpenFileParallelCache(path, 4, nil); !errors.Is(err, ErrNoIndex) ||
+			!strings.Contains(err.Error(), "tracegen -in "+path) {
+			t.Fatalf("OpenFileParallelCache(%s): %v, want ErrNoIndex with the conversion command", path, err)
 		}
-		check(tc.name+" sequential", fs)
-
-		src, err := OpenFileParallel(tc.path, 4)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", tc.name, err)
-		}
-		if _, ok := src.(*IndexedFileSource); ok != tc.indexed {
-			t.Fatalf("%s: OpenFileParallel returned %T, indexed=%v", tc.name, src, tc.indexed)
-		}
-		check(tc.name+" parallel", src)
-	}
-
-	// v1/v2 input through the indexed-only constructor is a typed refusal.
-	for _, path := range []string{v1, v2} {
 		if _, err := OpenIndexedFile(path, 2); !errors.Is(err, ErrNoIndex) {
 			t.Fatalf("OpenIndexedFile(%s): %v, want ErrNoIndex", path, err)
 		}
@@ -354,17 +323,7 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("not a v3 file", func(t *testing.T) {
-		var buf bytes.Buffer
-		w := NewWriterOptions(&buf, hdr, WriterOptions{Version: 2})
-		for _, a := range accs[:100] {
-			if err := w.Write(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := read(buf.Bytes()); !errors.Is(err, ErrNoIndex) {
+		if err := read(mtr2Image(encodeMTR3(t, hdr, accs[:100], 2048))); !errors.Is(err, ErrNoIndex) {
 			t.Fatalf("v2: got %v, want ErrNoIndex", err)
 		}
 		if err := read([]byte("not a trace at all")); !errors.Is(err, ErrBadMagic) {
@@ -485,7 +444,7 @@ func TestOpenFileParallelCorruptV3FailsLoudly(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileParallel(path, 2); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenFileParallelCache(path, 2, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want a loud ErrCorrupt (no silent sequential fallback)", err)
 	}
 }

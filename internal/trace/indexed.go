@@ -272,10 +272,9 @@ func (p *segPipe) halt() {
 }
 
 // IndexedFileSource is a Source decoding an MTR3 trace through its segment
-// index: up to Decoders goroutines decode segments concurrently via a
+// index: up to decoders goroutines decode segments concurrently via a
 // shared io.ReaderAt, and the Source face reassembles them in segment
-// order, so consumers see exactly the sequential access stream — the
-// parallel successor of PrefetchSource's single decode-ahead goroutine.
+// order, so consumers see exactly the sequential access stream.
 //
 // The decode pipeline starts lazily at the first read, and Reset returns
 // the source to the unstarted state. Sharded runs read this face too: the
@@ -306,7 +305,7 @@ type IndexedFileSource struct {
 // must be safe for concurrent ReadAt, as *os.File and *bytes.Reader are).
 // size is the total trace length in bytes. decoders bounds the concurrent
 // segment decoders; 0 means GOMAXPROCS. MTR1/MTR2 input fails with
-// ErrNoIndex; use FileSource for those.
+// ErrNoIndex; FileSource still reads those, for conversion.
 func NewIndexedSource(r io.ReaderAt, size int64, decoders int) (*IndexedFileSource, error) {
 	idx, err := ReadIndex(r, size)
 	if err != nil {
@@ -352,33 +351,23 @@ func (s *IndexedFileSource) WithCache(c *SegmentCache) *IndexedFileSource {
 	return s
 }
 
-// OpenFileParallel opens path with the best decode pipeline its format
-// supports: MTR3 files get an IndexedFileSource with up to decoders
-// (0 = GOMAXPROCS) concurrent segment decoders, while MTR1/MTR2 files fall
-// back to sequential decode behind a prefetch goroutine. This is how the
-// CLIs and sim.Run open -trace files; a v3 file with a damaged index fails
-// loudly here rather than silently degrading to the sequential path.
-func OpenFileParallel(path string, decoders int) (Source, error) {
-	return OpenFileParallelCache(path, decoders, nil)
-}
-
-// OpenFileParallelCache is OpenFileParallel with a shared decoded-segment
-// cache attached to indexed sources. Unindexed (v1/v2) files bypass the
-// cache entirely — they have no independently decodable segments — and a
-// nil cache behaves exactly like OpenFileParallel.
+// OpenFileParallelCache opens an MTR3 file for replay: an
+// IndexedFileSource with up to decoders (0 = GOMAXPROCS) concurrent
+// segment decoders, attached to the shared decoded-segment cache (nil =
+// caching off). This is how the CLIs and sim.Run open -trace files. A v1
+// or v2 file fails with an error wrapping ErrNoIndex that names the
+// one-shot conversion (`tracegen -in old.mtr -o new.mtr`), and a v3 file
+// with a damaged index fails loudly; neither degrades to a sequential
+// decode.
 func OpenFileParallelCache(path string, decoders int, cache *SegmentCache) (Source, error) {
 	src, err := OpenIndexedFile(path, decoders)
-	if err == nil {
-		return src.WithCache(cache), nil
+	if errors.Is(err, ErrNoIndex) {
+		return nil, fmt.Errorf("%s: %w; convert it once with: tracegen -in %s -o new.mtr", path, err, path)
 	}
-	if !errors.Is(err, ErrNoIndex) {
-		return nil, err
-	}
-	fs, err := OpenFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return NewPrefetchSource(fs), nil
+	return src.WithCache(cache), nil
 }
 
 // Header returns the trace geometry header.

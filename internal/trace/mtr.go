@@ -23,13 +23,14 @@ package trace
 // removes the terminator/count trailer, and both cases surface as
 // ErrTruncated.
 //
-// The version-1 format (fixed-width records behind an up-front count, see
-// trace.go) remains readable: Decoder and FileSource accept any of the
-// three magics. Version 3 ("MTR3", see index.go) keeps this record stream
-// byte for byte and appends a segment index + footer after the trailer, so
-// segments can be decoded independently and in parallel; the sequential
-// decoder here reads v3 exactly like v2 and then validates the index
-// structurally.
+// Writer emits only version 3 ("MTR3", see index.go), which keeps this
+// record stream byte for byte and appends a segment index + footer after
+// the trailer, so segments can be decoded independently and in parallel.
+// Every replay path reads MTR3 through IndexedFileSource. The sequential
+// Decoder here still accepts all three magics: it reads v3 exactly like
+// v2 and then validates the index structurally, and it is how
+// `tracegen -in old.mtr -o new.mtr` converts a v1 (see trace.go) or v2
+// file to v3.
 
 import (
 	"bufio"
@@ -55,9 +56,9 @@ var ErrTruncated = errors.New("trace: truncated trace file")
 // disagrees with the trailer, or trailing garbage.
 var ErrCorrupt = errors.New("trace: corrupt trace file")
 
-// Header carries the trace geometry recorded in an MTR2 file. Zero fields
-// mean the writer did not specify them; version-1 files always decode to a
-// zero Header.
+// Header carries the trace geometry recorded in an MTR2/MTR3 file. Zero
+// fields mean the writer did not specify them; version-1 files always
+// decode to a zero Header.
 type Header struct {
 	BlockSize int // block size in bytes, 0 if unspecified
 	PageSize  int // page size in bytes, 0 if unspecified
@@ -77,21 +78,18 @@ func (h Header) Geometry() (memory.Geometry, bool) {
 	return g, true
 }
 
-// WriterOptions selects the output format of a Writer.
+// WriterOptions tunes a Writer's segmenting.
 type WriterOptions struct {
-	// Version is the trace format version: 0 (the latest, currently 3), 2,
-	// or 3. Version 2 omits the segment index, for readers predating it.
-	Version int
 	// SegmentBytes is the target encoded size of one segment (0 =
-	// DefaultSegmentBytes). Version 3 only. Segments close at the first
-	// record boundary at or past the target, so a segment can exceed it by
-	// one record's encoding.
+	// DefaultSegmentBytes). Segments close at the first record boundary at
+	// or past the target, so a segment can exceed it by one record's
+	// encoding.
 	SegmentBytes int
 }
 
-// Writer encodes accesses to the MTR3 format (or MTR2 on request). Close
-// must be called to emit the trailer — and, for v3, the segment index and
-// footer; a stream without them reads back as ErrTruncated.
+// Writer encodes accesses to the MTR3 format. Close must be called to emit
+// the trailer, the segment index and the footer; a stream without them
+// reads back as ErrTruncated.
 type Writer struct {
 	bw     *bufio.Writer
 	hdr    Header
@@ -100,9 +98,8 @@ type Writer struct {
 	err    error
 	closed bool
 
-	// v3 segmenting state. off tracks the file offset of every emitted
-	// byte; while inSeg, record bytes also feed the running segment CRC.
-	version  int
+	// Segmenting state. off tracks the file offset of every emitted byte;
+	// while inSeg, record bytes also feed the running segment CRC.
 	segBytes int64
 	off      int64
 	inSeg    bool
@@ -111,27 +108,18 @@ type Writer struct {
 	segs     []Segment
 }
 
-// NewWriter returns a Writer emitting to w in the latest format version
-// with default segmenting. The header is written immediately. Header
-// fields may be zero (unspecified), but a negative field or a Nodes beyond
-// memory.MaxNodes is rejected at the first Write.
+// NewWriter returns a Writer emitting MTR3 to w with default segmenting.
+// The header is written immediately. Header fields may be zero
+// (unspecified), but a negative field or a Nodes beyond memory.MaxNodes is
+// rejected at the first Write.
 func NewWriter(w io.Writer, hdr Header) *Writer {
 	return NewWriterOptions(w, hdr, WriterOptions{})
 }
 
-// NewWriterOptions is NewWriter with an explicit format version and
-// segment target (the tracegen -mtr-version escape hatch).
+// NewWriterOptions is NewWriter with an explicit segment target (the
+// tracegen -segment-bytes flag).
 func NewWriterOptions(w io.Writer, hdr Header, opts WriterOptions) *Writer {
 	tw := &Writer{bw: bufio.NewWriter(w), hdr: hdr}
-	switch opts.Version {
-	case 0, 3:
-		tw.version = 3
-	case 2:
-		tw.version = 2
-	default:
-		tw.err = fmt.Errorf("trace: unsupported writer format version %d (want 2 or 3)", opts.Version)
-		return tw
-	}
 	tw.segBytes = int64(opts.SegmentBytes)
 	if tw.segBytes <= 0 {
 		tw.segBytes = DefaultSegmentBytes
@@ -140,11 +128,7 @@ func NewWriterOptions(w io.Writer, hdr Header, opts WriterOptions) *Writer {
 		tw.err = fmt.Errorf("trace: invalid header %+v", hdr)
 		return tw
 	}
-	m := magic2
-	if tw.version == 3 {
-		m = magic3
-	}
-	tw.emit(m[:])
+	tw.emit(magic3[:])
 	tw.putUvarint(uint64(hdr.BlockSize))
 	tw.putUvarint(uint64(hdr.PageSize))
 	tw.putUvarint(uint64(hdr.Nodes))
@@ -201,7 +185,7 @@ func (w *Writer) Write(a Access) error {
 		w.err = fmt.Errorf("trace: access node %d outside header node count %d", a.Node, w.hdr.Nodes)
 		return w.err
 	}
-	if w.version == 3 && !w.inSeg {
+	if !w.inSeg {
 		// Open a segment at the current record boundary. StartAddr is the
 		// running delta base, so an indexed reader can decode the segment
 		// without replaying anything before it.
@@ -214,17 +198,15 @@ func (w *Writer) Write(a Access) error {
 	w.putUvarint(uint64(delta<<1) ^ uint64(delta>>63)) // zigzag
 	w.prev = a.Addr
 	w.count++
-	if w.inSeg {
-		w.seg.Count++
-		if w.off-w.seg.Off >= w.segBytes {
-			w.closeSegment()
-		}
+	w.seg.Count++
+	if w.off-w.seg.Off >= w.segBytes {
+		w.closeSegment()
 	}
 	return w.err
 }
 
-// Close writes the trailer — and, for v3, the segment index and footer —
-// then flushes. It does not close the underlying io.Writer.
+// Close writes the trailer, the segment index and the footer, then
+// flushes. It does not close the underlying io.Writer.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
@@ -236,24 +218,22 @@ func (w *Writer) Close() error {
 	w.closeSegment()
 	w.emit([]byte{0})
 	w.putUvarint(w.count)
-	if w.version == 3 {
-		indexOff := w.off
-		body := make([]byte, 0, 16+len(w.segs)*5*binary.MaxVarintLen64/2)
-		body = binary.AppendUvarint(body, uint64(len(w.segs)))
-		for _, s := range w.segs {
-			body = binary.AppendUvarint(body, uint64(s.Off))
-			body = binary.AppendUvarint(body, uint64(s.Len))
-			body = binary.AppendUvarint(body, s.Count)
-			body = binary.AppendUvarint(body, uint64(s.StartAddr))
-			body = binary.AppendUvarint(body, uint64(s.CRC))
-		}
-		w.emit(body)
-		var foot [footerSize]byte
-		binary.LittleEndian.PutUint64(foot[0:8], uint64(indexOff))
-		binary.LittleEndian.PutUint32(foot[8:12], crc32.ChecksumIEEE(body))
-		copy(foot[12:16], footerMagic[:])
-		w.emit(foot[:])
+	indexOff := w.off
+	body := make([]byte, 0, 16+len(w.segs)*5*binary.MaxVarintLen64/2)
+	body = binary.AppendUvarint(body, uint64(len(w.segs)))
+	for _, s := range w.segs {
+		body = binary.AppendUvarint(body, uint64(s.Off))
+		body = binary.AppendUvarint(body, uint64(s.Len))
+		body = binary.AppendUvarint(body, s.Count)
+		body = binary.AppendUvarint(body, uint64(s.StartAddr))
+		body = binary.AppendUvarint(body, uint64(s.CRC))
 	}
+	w.emit(body)
+	var foot [footerSize]byte
+	binary.LittleEndian.PutUint64(foot[0:8], uint64(indexOff))
+	binary.LittleEndian.PutUint32(foot[8:12], crc32.ChecksumIEEE(body))
+	copy(foot[12:16], footerMagic[:])
+	w.emit(foot[:])
 	if w.err != nil {
 		return w.err
 	}
@@ -639,8 +619,10 @@ func (d *Decoder) nextLegacy() (Access, error) {
 // the latter sequentially, ignoring its segment index) from a seekable
 // stream, typically a file. Reset seeks back to the start and re-reads the
 // header, so the two-pass placement/simulation workflow works without ever
-// materializing the trace. For parallel segment decode of MTR3 files, see
-// IndexedFileSource and OpenFileParallel.
+// materializing the trace. It is the reader `tracegen -in` converts old
+// files with and the reference the indexed-decode equivalence tests
+// compare against; replay paths open MTR3 files through
+// OpenFileParallelCache instead.
 type FileSource struct {
 	r      io.ReadSeeker
 	dec    *Decoder

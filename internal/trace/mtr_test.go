@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"migratory/internal/memory"
@@ -125,15 +127,7 @@ func TestMTRCorrupt(t *testing.T) {
 		// A v2 image, whose final byte IS the trailer count; in v3 the
 		// trailer sits before the index and the cross-check is exercised by
 		// the index tests.
-		var buf bytes.Buffer
-		w := NewWriterOptions(&buf, Header{Nodes: 4}, WriterOptions{Version: 2})
-		if err := w.Write(Access{Node: 1, Kind: Write, Addr: 64}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
+		data := mtr2Image(valid)
 		data[len(data)-1] = 7 // trailer says 7 records, stream has 1
 		src, err := NewFileSource(bytes.NewReader(data))
 		if err == nil {
@@ -208,24 +202,54 @@ func TestMTRWriterRejections(t *testing.T) {
 	}
 }
 
-// TestFileSourceReadsLegacy decodes an MTR1 (fixed-record) stream through
-// the same FileSource, with a zero header.
-func TestFileSourceReadsLegacy(t *testing.T) {
-	accs := mtrAccesses()
-	var buf bytes.Buffer
-	if err := WriteTo(&buf, accs); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewFileSource(bytes.NewReader(buf.Bytes()))
+// legacyFixture names a committed pre-v3 trace: the same 2,000 MP3D
+// accesses (16 nodes, seed 1993) written by the retired v1 and v2 writers.
+func legacyFixture(version string) string {
+	return filepath.Join("..", "..", "testdata", "legacy_"+version+".mtr")
+}
+
+// mtr2Image turns an MTR3 image into the MTR2 image of the same records:
+// v3 is the v2 record stream plus an index and footer, so dropping those
+// and swapping the magic is exact.
+func mtr2Image(v3 []byte) []byte {
+	indexOff := binary.LittleEndian.Uint64(v3[len(v3)-footerSize:])
+	return append(append([]byte{}, magic2[:]...), v3[4:indexOff]...)
+}
+
+// readFile decodes a whole trace file through the sequential reader.
+func readFile(t *testing.T, path string) (Header, []Access) {
+	t.Helper()
+	src, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer src.Close()
+	accs, err := ReadAll(src)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return src.Header(), accs
+}
+
+// TestFileSourceReadsLegacy decodes the committed MTR1 (fixed-record)
+// fixture through the same FileSource, with a zero header, to the accesses
+// of its v2 twin.
+func TestFileSourceReadsLegacy(t *testing.T) {
+	_, accs := readFile(t, legacyFixture("v2"))
+	src, err := OpenFile(legacyFixture("v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
 	if src.Header() != (Header{}) {
 		t.Fatalf("legacy header = %+v, want zero", src.Header())
 	}
 	got, err := ReadAll(src)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != len(accs) {
+		t.Fatalf("legacy fixture: %d accesses, want %d", len(got), len(accs))
 	}
 	for i := range accs {
 		if got[i] != accs[i] {
@@ -261,8 +285,9 @@ func TestMTRCopy(t *testing.T) {
 	}
 }
 
-// TestMTRCompactness: the varint-delta format should be much smaller than
-// the 10-byte fixed records for address-local traces.
+// TestMTRCompactness: the varint-delta format, segment index included,
+// should be much smaller than the 10-byte fixed records for address-local
+// traces.
 func TestMTRCompactness(t *testing.T) {
 	accs := make([]Access, 10_000)
 	addr := memory.Addr(0)
@@ -270,12 +295,9 @@ func TestMTRCompactness(t *testing.T) {
 		addr += memory.Addr(16 * (i % 5))
 		accs[i] = Access{Node: memory.NodeID(i % 16), Kind: Kind(i % 2), Addr: addr}
 	}
-	mtr2 := encodeMTR(t, Header{BlockSize: 16, PageSize: 4096, Nodes: 16}, accs)
-	var mtr1 bytes.Buffer
-	if err := WriteTo(&mtr1, accs); err != nil {
-		t.Fatal(err)
-	}
-	if len(mtr2)*2 > mtr1.Len() {
-		t.Fatalf("MTR2 %d bytes not clearly below MTR1 %d bytes", len(mtr2), mtr1.Len())
+	mtr3 := encodeMTR(t, Header{BlockSize: 16, PageSize: 4096, Nodes: 16}, accs)
+	mtr1 := len(magic) + 8 + recordSize*len(accs) // fixed-width records
+	if len(mtr3)*2 > mtr1 {
+		t.Fatalf("MTR3 %d bytes not clearly below MTR1 %d bytes", len(mtr3), mtr1)
 	}
 }

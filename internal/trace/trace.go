@@ -11,8 +11,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -214,76 +212,19 @@ func ReadAll(r Reader) ([]Access, error) {
 	}
 }
 
-// Binary trace format:
+// Legacy binary trace format, version 1 ("MTR1"):
 //
 //	magic   [4]byte  "MTR1"
 //	count   uint64   number of records
 //	records          count * (node uint8, kind uint8, addr uint64), little endian
 //
-// The format is deliberately trivial: traces are an interchange artifact
-// between cmd/tracegen and the simulators, not an archival format.
+// No writer emits it; Decoder reads it so that `tracegen -in` can convert
+// an old file to MTR3 (see mtr.go).
 
 var magic = [4]byte{'M', 'T', 'R', '1'}
 
 const recordSize = 1 + 1 + 8
 
-// ErrBadMagic is returned by ReadFrom when the input does not begin with
-// the trace file magic.
+// ErrBadMagic is returned when the input does not begin with one of the
+// trace file magics.
 var ErrBadMagic = errors.New("trace: bad magic (not a trace file)")
-
-// WriteTo encodes accesses to w in the binary trace format.
-func WriteTo(w io.Writer, accesses []Access) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(accesses)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec [recordSize]byte
-	for _, a := range accesses {
-		rec[0] = byte(a.Node)
-		rec[1] = byte(a.Kind)
-		binary.LittleEndian.PutUint64(rec[2:], uint64(a.Addr))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFrom decodes a binary trace written by WriteTo.
-func ReadFrom(r io.Reader) ([]Access, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, ErrBadMagic
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	count := binary.LittleEndian.Uint64(hdr[:])
-	const sanityMax = 1 << 32
-	if count > sanityMax {
-		return nil, fmt.Errorf("trace: implausible record count %d: %w", count, ErrCorrupt)
-	}
-	out := make([]Access, 0, count)
-	var rec [recordSize]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d of %d: %w", i, count, err)
-		}
-		out = append(out, Access{
-			Node: memory.NodeID(rec[0]),
-			Kind: Kind(rec[1]),
-			Addr: memory.Addr(binary.LittleEndian.Uint64(rec[2:])),
-		})
-	}
-	return out, nil
-}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -81,6 +82,28 @@ func TestEmptySlice(t *testing.T) {
 	}
 }
 
+// encodeMTR1 builds a legacy fixed-record (MTR1) image. No writer emits
+// the format any more, but Decoder still reads it for `tracegen -in`
+// conversion, so the tests craft their own inputs.
+func encodeMTR1(accs []Access) []byte {
+	out := append([]byte{}, magic[:]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(accs)))
+	for _, a := range accs {
+		out = append(out, byte(a.Node), byte(a.Kind))
+		out = binary.LittleEndian.AppendUint64(out, uint64(a.Addr))
+	}
+	return out
+}
+
+// decodeMTR1 reads an MTR1 image back through the sequential reader.
+func decodeMTR1(data []byte) ([]Access, error) {
+	src, err := NewFileSource(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return ReadAll(src)
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	accs := make([]Access, 1000)
@@ -91,11 +114,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			Addr: memory.Addr(rng.Uint64() >> 20),
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteTo(&buf, accs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrom(&buf)
+	got, err := decodeMTR1(encodeMTR1(accs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,39 +124,31 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRoundTripEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTo(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrom(&buf)
+	got, err := decodeMTR1(encodeMTR1(nil))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip = %v, %v", got, err)
 	}
 }
 
 func TestReadFromBadMagic(t *testing.T) {
-	_, err := ReadFrom(bytes.NewReader([]byte("XXXX\x00\x00\x00\x00\x00\x00\x00\x00")))
+	_, err := decodeMTR1([]byte("XXXX\x00\x00\x00\x00\x00\x00\x00\x00"))
 	if !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic error: %v", err)
 	}
 }
 
 func TestReadFromTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTo(&buf, []Access{{Node: 1, Kind: Write, Addr: 42}}); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := encodeMTR1([]Access{{Node: 1, Kind: Write, Addr: 42}})
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := ReadFrom(bytes.NewReader(full[:len(full)-cut])); err == nil {
-			t.Fatalf("truncating %d bytes: no error", cut)
+		if _, err := decodeMTR1(full[:len(full)-cut]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("truncating %d bytes: %v, want ErrTruncated", cut, err)
 		}
 	}
 }
 
 func TestReadFromImplausibleCount(t *testing.T) {
 	raw := append([]byte("MTR1"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-	if _, err := ReadFrom(bytes.NewReader(raw)); err == nil {
+	if _, err := decodeMTR1(raw); err == nil {
 		t.Fatal("implausible count accepted")
 	}
 }
@@ -159,11 +170,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			}
 			accs[i] = Access{Node: memory.NodeID(nodes[i]), Kind: k, Addr: memory.Addr(addrs[i])}
 		}
-		var buf bytes.Buffer
-		if err := WriteTo(&buf, accs); err != nil {
-			return false
-		}
-		got, err := ReadFrom(&buf)
+		got, err := decodeMTR1(encodeMTR1(accs))
 		if err != nil {
 			return false
 		}

@@ -534,16 +534,31 @@ func (g *Generator) ownObject(st *segState, n memory.NodeID) int {
 }
 
 // Generate is the package-level convenience: build a generator and emit a
-// trace of the given length (0 = the profile's default).
+// trace of the given length (0 = the profile's default; negative is an
+// error).
 func Generate(p Profile, nodes int, seed int64, length int) ([]trace.Access, error) {
-	g, err := NewGenerator(p, nodes, seed)
+	g, length, err := newLengthGenerator(p, nodes, seed, length)
 	if err != nil {
 		return nil, err
+	}
+	return g.Generate(length), nil
+}
+
+// newLengthGenerator builds the generator behind Generate and NewSource and
+// resolves the requested length: 0 means the profile's default, and a
+// negative length is rejected rather than yielding an empty trace.
+func newLengthGenerator(p Profile, nodes int, seed int64, length int) (*Generator, int, error) {
+	if length < 0 {
+		return nil, 0, fmt.Errorf("workload: negative trace length %d (want 0 for the profile default or >= 1)", length)
+	}
+	g, err := NewGenerator(p, nodes, seed)
+	if err != nil {
+		return nil, 0, err
 	}
 	if length == 0 {
 		length = p.DefaultLength
 	}
-	return g.Generate(length), nil
+	return g, length, nil
 }
 
 // Source streams a generated trace access by access without ever
@@ -562,14 +577,11 @@ type Source struct {
 }
 
 // NewSource returns a streaming Source for the profile (length 0 = the
-// profile's default length).
+// profile's default length; negative is an error).
 func NewSource(p Profile, nodes int, seed int64, length int) (*Source, error) {
-	g, err := NewGenerator(p, nodes, seed)
+	g, length, err := newLengthGenerator(p, nodes, seed, length)
 	if err != nil {
 		return nil, err
-	}
-	if length == 0 {
-		length = p.DefaultLength
 	}
 	return &Source{prof: p, nodes: nodes, seed: seed, length: length, g: g}, nil
 }

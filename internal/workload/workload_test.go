@@ -154,6 +154,18 @@ func TestGenerateDefaultLength(t *testing.T) {
 	}
 }
 
+// TestGenerateNegativeLength: a negative length is a caller error, not a
+// request for an empty trace, on both the materialized and streamed paths.
+func TestGenerateNegativeLength(t *testing.T) {
+	p, _ := ProfileByName("MP3D")
+	if accs, err := Generate(p, 16, 1, -5); err == nil {
+		t.Fatalf("Generate accepted length -5 (%d accesses)", len(accs))
+	}
+	if src, err := NewSource(p, 16, 1, -5); err == nil {
+		t.Fatalf("NewSource accepted length -5 (Len %d)", src.Len())
+	}
+}
+
 func TestGenerateBasicShape(t *testing.T) {
 	for _, p := range Profiles() {
 		p := p
