@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle race vet vuln bench bench-check cover fuzz ci inspect-demo profile apidiff serve-smoke
+.PHONY: build fmt test test-shuffle race vet vuln bench bench-check cover fuzz ci inspect-demo profile apidiff serve-smoke
 
 # Seconds of fuzzing per target in `make fuzz` (kept short for CI).
 FUZZTIME ?= 10s
@@ -10,6 +10,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Fails when any Go file is not gofmt-clean, listing the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -80,7 +84,7 @@ cover:
 	$(GO) tool cover -func=$(COVER_DIR)/coverage.out > $(COVER_DIR)/coverage.txt
 	@tail -n 1 $(COVER_DIR)/coverage.txt
 
-ci: build vet test-shuffle race
+ci: build fmt vet test-shuffle race
 
 # Profile the Table 2 sweep hot loop: run migsim under the CPU and heap
 # profilers and print the top CPU consumers. Open the .pprof files with

@@ -2,6 +2,7 @@ package migratory
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -18,6 +19,38 @@ type noBatch struct {
 func (n noBatch) Next() (Access, error) { return n.src.Next() }
 func (n noBatch) Reset() error          { return n.src.Reset() }
 func (n noBatch) Close() error          { return nil }
+
+// runDirectory builds a directory system and streams src through it.
+func runDirectory(ctx context.Context, src TraceSource, cfg DirectoryConfig) (*DirectorySystem, error) {
+	sys, err := NewDirectorySystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys, sys.RunSource(ctx, src)
+}
+
+// runBus builds a snooping bus system and streams src through it.
+func runBus(ctx context.Context, src TraceSource, cfg BusConfig) (*BusSystem, error) {
+	sys, err := NewBusSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys, sys.RunSource(ctx, src)
+}
+
+// runTimed streams src under the timing model through Run (16 nodes,
+// 16-byte blocks, default latencies).
+func runTimed(src TraceSource, pol Policy) (TimingResult, error) {
+	res, err := Run(nil, RunConfig{
+		Engine:     EngineTiming,
+		Policy:     pol.Name,
+		OpenSource: func() (TraceSource, error) { return src, nil },
+	})
+	if err != nil {
+		return TimingResult{}, err
+	}
+	return *res.Timing, nil
+}
 
 // equivTrace is the shared input of the equivalence tests: one generated
 // workload materialized as a slice and encoded as an .mtr image.
@@ -77,11 +110,11 @@ func TestBatchedDirectoryEquivalence(t *testing.T) {
 				Policy:    pol,
 				Placement: RoundRobinPlacement(16),
 			}
-			batched, err := RunDirectory(nil, open(), cfg)
+			batched, err := runDirectory(nil, open(), cfg)
 			if err != nil {
 				t.Fatalf("%s/%s batched: %v", pol, name, err)
 			}
-			unbatched, err := RunDirectory(nil, noBatch{open()}, cfg)
+			unbatched, err := runDirectory(nil, noBatch{open()}, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s unbatched: %v", pol, name, err)
 			}
@@ -105,11 +138,11 @@ func TestBatchedBusEquivalence(t *testing.T) {
 	for _, p := range protocols {
 		for name, open := range sources {
 			cfg := BusConfig{Nodes: 16, Geometry: MustGeometry(16, 4096), Protocol: p}
-			batched, err := RunBus(nil, open(), cfg)
+			batched, err := runBus(nil, open(), cfg)
 			if err != nil {
 				t.Fatalf("%s/%s batched: %v", p, name, err)
 			}
-			unbatched, err := RunBus(nil, noBatch{open()}, cfg)
+			unbatched, err := runBus(nil, noBatch{open()}, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s unbatched: %v", p, name, err)
 			}
@@ -126,12 +159,11 @@ func TestBatchedTimingEquivalence(t *testing.T) {
 	sources := equivSources(t, accs, mtr)
 	for _, pol := range Policies() {
 		for name, open := range sources {
-			cfg := TimingConfig{Nodes: 16, Geometry: MustGeometry(16, 4096), Policy: pol}
-			batched, err := RunTimedSource(nil, open(), cfg)
+			batched, err := runTimed(open(), pol)
 			if err != nil {
 				t.Fatalf("%s/%s batched: %v", pol, name, err)
 			}
-			unbatched, err := RunTimedSource(nil, noBatch{open()}, cfg)
+			unbatched, err := runTimed(noBatch{open()}, pol)
 			if err != nil {
 				t.Fatalf("%s/%s unbatched: %v", pol, name, err)
 			}

@@ -50,7 +50,7 @@ func main() {
 		protocols = append(protocols, snoop.Symmetry)
 	}
 
-	run := tele.Start(opts, *common.Trace, map[string]any{"caches": *caches, "symmetry": *symmetry})
+	run := tele.Start(tele.Manifest(opts, *common.Trace, map[string]any{"caches": *caches, "symmetry": *symmetry}))
 	defer run.Close(nil)
 	opts.Stats = run.Stats()
 

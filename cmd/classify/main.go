@@ -47,7 +47,7 @@ func main() {
 		}
 	}
 
-	run := tele.Start(opts, *common.Trace, map[string]any{"cache": *cache})
+	run := tele.Start(tele.Manifest(opts, *common.Trace, map[string]any{"cache": *cache}))
 	defer run.Close(nil)
 	opts.Stats = run.Stats()
 
@@ -94,7 +94,6 @@ func main() {
 			Nodes:           opts.Nodes,
 			Policy:          core.Conventional.Name,
 			CacheBytes:      *cache,
-			Shards:          opts.Shards,
 			Stats:           run.Stats(),
 			OpenSource:      app.Open,
 			PlacementPolicy: app.Placement,

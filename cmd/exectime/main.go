@@ -42,7 +42,7 @@ func main() {
 		opts.Apps = sim.ExecApps
 	}
 
-	run := tele.Start(opts, *common.Trace, map[string]any{"policy": *policy, "cache": *cache})
+	run := tele.Start(tele.Manifest(opts, *common.Trace, map[string]any{"policy": *policy, "cache": *cache}))
 	defer run.Close(nil)
 	opts.Stats = run.Stats()
 

@@ -122,8 +122,10 @@ func main() {
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
 
-	teleRun = tele.Start(sim.Options{Nodes: *nodes, Seed: *seed, Length: *length, Shards: *shards},
+	man := tele.Manifest(sim.Options{Nodes: *nodes, Seed: *seed, Length: *length},
 		*traceIn, map[string]any{"app": *app, "engine": *engine, "variant": *variant, "cache_kb": *cacheKB, "block": *blockSize})
+	man.Shards = *shards
+	teleRun = tele.Start(man)
 	defer teleRun.Close(nil)
 
 	// Assemble the per-event probe chain (printer and exporters behind the

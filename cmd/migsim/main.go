@@ -46,7 +46,7 @@ func main() {
 		cliutil.Fatal("migsim", "%v", err)
 	}
 
-	run := tele.Start(opts, *common.Trace, map[string]any{"table": *table})
+	run := tele.Start(tele.Manifest(opts, *common.Trace, map[string]any{"table": *table}))
 	defer run.Close(nil)
 	opts.Stats = run.Stats()
 

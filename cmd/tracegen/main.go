@@ -76,8 +76,8 @@ func main() {
 		cliutil.Usagef("tracegen", "-length must be >= 0 (0 = profile default; got %d)", *length)
 	}
 
-	run = tele.Start(sim.Options{Nodes: *nodes, Seed: *seed, Length: *length}, *in,
-		map[string]any{"app": *app, "out": *out, "block": *blockSize})
+	run = tele.Start(tele.Manifest(sim.Options{Nodes: *nodes, Seed: *seed, Length: *length}, *in,
+		map[string]any{"app": *app, "out": *out, "block": *blockSize}))
 	defer run.Close(nil)
 
 	hdr := trace.Header{BlockSize: *blockSize, PageSize: sim.PageSize, Nodes: *nodes}

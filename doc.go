@@ -91,9 +91,9 @@
 // Orthogonal to the per-event probes, a RunStats counter block gives live,
 // near-zero-cost visibility into a running simulation: engines push
 // accesses, batches, classifier transitions, and migrations at batch
-// granularity (one update per 4096 accesses), the set-sharded demux stage
-// accounts per-shard queue depth and producer stall time, and the sweep
-// drivers track cell progress for ETA estimation. Attach one through
+// granularity (one update per 4096 accesses), the demux stage of a
+// set-sharded run accounts per-shard queue depth and producer stall time,
+// and every sweep driver tracks cell progress for ETA estimation. Attach one through
 // ExperimentOptions.Stats, DirectoryConfig.Stats, or BusConfig.Stats —
 // when left nil the hot path pays a single pointer test per batch. A
 // TelemetrySampler turns the counters into periodic TelemetrySample
@@ -117,7 +117,8 @@
 // into independently decodable segments and a footer index lets
 // OpenIndexedTraceFile / NewIndexedTraceSource decode segments on one
 // worker per GOMAXPROCS while reassembling the exact sequential stream,
-// which sharded runs then demux to their shards through one producer.
+// which a set-sharded run (RunConfig.Shards) then demuxes to its shards
+// through one producer.
 // Every replay path (RunConfig.TraceFile, the shared -trace flag) reads v3
 // only; a v1/v2 file fails with ErrTraceNoIndex and a hint to convert it
 // once with `tracegen -in old.mtr -o new.mtr`. OpenTraceFile still decodes
@@ -130,13 +131,16 @@
 // LRU eviction, and observable through TraceCacheStats (Stats, /metrics,
 // run manifests). It cannot change a result: cached replay is
 // bit-identical and plays no part in RunConfig.Digest.
-// Run streams whichever source the config names and honors cancellation; the
-// deprecated per-engine wrappers RunDirectory, RunBus, and RunTimedSource
-// remain for callers managing their own sources, and AnalyzeTraceSource
-// and ClassifyBlocksSource are the analysis twins.
-// ExperimentOptions.Context threads a context through every sweep driver
-// and ExperimentOptions.Stream makes the sweeps regenerate workloads
-// lazily per cell, keeping sweep memory constant in the trace length.
+// Run streams whichever source the config names and honors cancellation;
+// callers managing their own sources stream them through a system's
+// RunSource (NewDirectorySystem, NewBusSystem), and AnalyzeTraceSource and
+// ClassifyBlocksSource are the analysis twins. A sweep is a list of such
+// runs plus the resources they share: ExperimentOptions.Context threads a
+// context through every cell, ExperimentOptions.Parallelism bounds how
+// many cells run at once (cells never set-shard; RunConfig.Shards splits
+// a single run), and ExperimentOptions.Stream makes the sweeps regenerate
+// workloads lazily per cell, keeping sweep memory constant in the trace
+// length.
 // Failures are matchable with errors.Is against the exported sentinels
 // (ErrUnknownPolicy, ErrUnknownProfile, ErrUnknownEventKind,
 // ErrBadGeometry, ErrTraceTruncated, ErrTraceCorrupt, ErrTraceBadMagic,

@@ -115,7 +115,7 @@ type Cache struct {
 	lines      []Line     // parallel to tags
 	assoc      int
 	setMask    memory.BlockID
-	shardShift uint // log2(Shards); global set index >> shardShift & setMask = local set
+	shardShift uint                   // log2(Shards); global set index >> shardShift & setMask = local set
 	infinite   *memory.BlockMap[Line] // used when cfg.SizeBytes == 0
 	clock      uint64
 

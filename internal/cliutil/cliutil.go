@@ -1,7 +1,7 @@
 // Package cliutil collects the flag parsing, option wiring, and trace
 // loading shared by the cmd/ mains, so each command declares only what is
 // unique to it: the common sweep flags (-apps, -length, -seed, -nodes,
-// -parallelism, -shards, -trace, -stream), the parallelism guard,
+// -parallelism, -trace, -stream, -trace-cache-bytes) and their checks,
 // signal-cancelled contexts, policy and bus-protocol lookup, event-filter
 // parsing, and the fatal/usage exit helpers.
 package cliutil
@@ -39,7 +39,6 @@ type Flags struct {
 	Seed            *int64
 	Nodes           *int
 	Parallelism     *int
-	Shards          *int
 	Trace           *string
 	Stream          *bool
 	TraceCacheBytes *int64
@@ -57,7 +56,6 @@ func Register(name string) *Flags {
 	f.Seed = flag.Int64("seed", 1993, "workload generator seed")
 	f.Nodes = flag.Int("nodes", 16, "processor count")
 	f.Parallelism = flag.Int("parallelism", 0, "sweep worker goroutines (0 = all CPUs, 1 = sequential; results are identical either way)")
-	f.Shards = flag.Int("shards", 1, "engine shards per untimed simulation run, split by cache-set index (1 = sequential, -1 = all CPUs; results are identical either way)")
 	f.Trace = flag.String("trace", "", "run over a v3 .mtr trace file (from tracegen) instead of the built-in workloads")
 	f.Stream = flag.Bool("stream", false, "regenerate traces lazily per simulation cell instead of materializing them (O(1) trace memory; bit-identical results)")
 	f.TraceCacheBytes = flag.Int64("trace-cache-bytes", trace.DefaultTraceCacheBytes, "decoded-segment cache capacity shared by every cell replaying an indexed (v3) .mtr trace (0 = decode per cell; results are identical either way)")
@@ -81,55 +79,17 @@ func (f *Flags) Cache() *trace.SegmentCache {
 }
 
 // Validate enforces the shared flag invariants after flag.Parse, exiting
-// with usage (status 2) on violation. -shards composes with -parallelism
-// multiplicatively; when the two together would oversubscribe GOMAXPROCS,
-// the worker pool is capped (with a warning on stderr) rather than refused,
-// since results are bit-identical at any setting.
+// with usage (status 2) on violation.
 func (f *Flags) Validate() {
-	f.validateWorkerFlag("-parallelism", *f.Parallelism, 0)
-	f.validateWorkerFlag("-shards", *f.Shards, -1)
+	if *f.Parallelism < 0 {
+		Usagef(f.name, "-parallelism must be >= 1 or 0 for all CPUs (got %d)", *f.Parallelism)
+	}
 	if *f.Length < 0 {
 		Usagef(f.name, "-length must be >= 0 (0 = per-app default; got %d)", *f.Length)
 	}
 	if *f.TraceCacheBytes < 0 {
 		Usagef(f.name, "-trace-cache-bytes must be >= 0 (0 disables the cache; got %d)", *f.TraceCacheBytes)
 	}
-
-	procs := runtime.GOMAXPROCS(0)
-	shards := *f.Shards
-	if shards < 0 {
-		shards = procs
-	}
-	workers := *f.Parallelism
-	if workers == 0 {
-		workers = procs
-	}
-	if shards > procs {
-		slog.Warn("-shards exceeds GOMAXPROCS; shards will contend for CPUs",
-			"tool", f.name, "shards", shards, "gomaxprocs", procs)
-	}
-	if shards > 1 && workers > 1 && shards*workers > procs {
-		capped := procs / shards
-		if capped < 1 {
-			capped = 1
-		}
-		if capped < workers {
-			slog.Warn("-shards x -parallelism oversubscribes GOMAXPROCS; capping parallelism",
-				"tool", f.name, "shards", shards, "parallelism", workers, "gomaxprocs", procs, "capped", capped)
-			*f.Parallelism = capped
-		}
-	}
-}
-
-// validateWorkerFlag is the shared range check for the two worker-count
-// flags: positive counts are always valid, and auto (the flag's designated
-// auto value: 0 for -parallelism, -1 for -shards) means "all CPUs".
-// Anything else is a usage error.
-func (f *Flags) validateWorkerFlag(flagName string, v, auto int) {
-	if v >= 1 || v == auto {
-		return
-	}
-	Usagef(f.name, "%s must be >= 1 or %d for all CPUs (got %d)", flagName, auto, v)
 }
 
 // Options assembles the sim.Options the flags describe. ctx, when non-nil,
@@ -142,7 +102,6 @@ func (f *Flags) Options(ctx context.Context) sim.Options {
 		Length:      *f.Length,
 		Stream:      *f.Stream,
 		Parallelism: *f.Parallelism,
-		Shards:      *f.Shards,
 		Cache:       f.Cache(),
 	}
 	if *f.Apps != "" {

@@ -108,14 +108,9 @@ func (t *TelemetryFlags) progressWriter() *os.File {
 	}
 }
 
-// Start begins the command's telemetry session: the run manifest is
-// pre-filled from the resolved sweep options (plus any tool-specific extra
-// settings), the sampler starts, the HTTP server comes up when
-// -telemetry-addr was given, and progress printing engages per -progress.
-// Wire run.Stats() into sim.Options.Stats (or an engine Config.Stats) and
-// arrange for run.Close(err) before exit. A failed listener degrades to a
-// serverless session with a logged warning rather than aborting the run.
-func (t *TelemetryFlags) Start(opts sim.Options, traceFile string, extra map[string]any) *telemetry.Run {
+// Manifest pre-fills a run manifest from the resolved sweep options plus
+// any tool-specific extra settings; hand it to Start.
+func (t *TelemetryFlags) Manifest(opts sim.Options, traceFile string, extra map[string]any) telemetry.Manifest {
 	man := telemetry.NewManifest(t.name)
 	man.Nodes = opts.Nodes
 	man.Seed = opts.Seed
@@ -125,11 +120,19 @@ func (t *TelemetryFlags) Start(opts sim.Options, traceFile string, extra map[str
 		man.Policies = append(man.Policies, p.Name)
 	}
 	man.Parallelism = opts.Parallelism
-	man.Shards = opts.Shards
 	man.Stream = opts.Stream
 	man.TraceFile = traceFile
 	man.Extra = extra
+	return man
+}
 
+// Start begins the command's telemetry session around man (see Manifest):
+// the sampler starts, the HTTP server comes up when -telemetry-addr was
+// given, and progress printing engages per -progress. Wire run.Stats()
+// into sim.Options.Stats (or an engine Config.Stats) and arrange for
+// run.Close(err) before exit. A failed listener degrades to a serverless
+// session with a logged warning rather than aborting the run.
+func (t *TelemetryFlags) Start(man telemetry.Manifest) *telemetry.Run {
 	cfg := telemetry.RunConfig{
 		Tool:        t.name,
 		Addr:        *t.Addr,

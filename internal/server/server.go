@@ -20,6 +20,7 @@ import (
 	"log/slog"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -378,7 +379,7 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Unlock()
 	s.m.inFlight.Add(1)
 
-	res, err := s.cfg.RunFunc(ctx, j.cfg)
+	res, err := s.run(ctx, j.cfg)
 	var raw json.RawMessage
 	if err == nil {
 		raw, err = json.Marshal(res)
@@ -417,6 +418,20 @@ func (s *Server) runJob(j *Job) {
 		s.log.Info("run finished", "id", j.id,
 			"wall", finished.Sub(j.started).Round(time.Millisecond))
 	}
+}
+
+// run executes one job's config, turning a panic in the run into the job's
+// error so one bad run fails its own job (500, failed metric, manifest
+// outcome) while the worker and the daemon keep serving. Panics on
+// goroutines the engines spawn themselves are not caught here.
+func (s *Server) run(ctx context.Context, cfg sim.RunConfig) (res *sim.RunResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.log.Error("run panicked", "panic", p, "stack", string(debug.Stack()))
+			res, err = nil, fmt.Errorf("server: run panicked: %v", p)
+		}
+	}()
+	return s.cfg.RunFunc(ctx, cfg)
 }
 
 // writeManifest seals one per-request manifest (when configured), named by

@@ -509,3 +509,66 @@ func TestManifestPerRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPanicFailsOnlyItsJob checks worker panic isolation: a run that
+// panics ends its own job as failed (HTTP 500, the failed metric, a
+// manifest carrying the panic as its outcome), and the same single worker
+// then serves a normal job.
+func TestRunPanicFailsOnlyItsJob(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, ManifestDir: dir,
+		RunFunc: func(ctx context.Context, cfg sim.RunConfig) (*sim.RunResult, error) {
+			if cfg.Seed == 1 {
+				panic("engine invariant broken")
+			}
+			return sim.Run(ctx, cfg)
+		}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(seed int64) (int, Snapshot) {
+		t.Helper()
+		body, _ := json.Marshal(submitRequest{Config: smallCfg(seed), Wait: true})
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, snap
+	}
+
+	code, snap := post(1)
+	if code != http.StatusInternalServerError || snap.Status != StatusFailed ||
+		!strings.Contains(snap.Error, "engine invariant broken") {
+		t.Fatalf("panicking run: status %d, snapshot %+v", code, snap)
+	}
+	m, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("manifest_cohd_*_%s.json", snap.ID)))
+	if err != nil || len(m) != 1 {
+		t.Fatalf("manifest for %s: %v, %v", snap.ID, m, err)
+	}
+	blob, err := os.ReadFile(m[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Outcome string `json:"outcome"`
+	}
+	if err := json.Unmarshal(blob, &man); err != nil || !strings.Contains(man.Outcome, "panicked") {
+		t.Fatalf("manifest outcome %q (%v)", man.Outcome, err)
+	}
+
+	if code, snap := post(2); code != http.StatusOK || snap.Status != StatusDone {
+		t.Fatalf("run after the panic: status %d, snapshot %+v", code, snap)
+	}
+	var buf bytes.Buffer
+	s.WriteMetrics(&buf)
+	for _, want := range []string{"cohd_runs_failed_total 1", "cohd_runs_completed_total 1"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, buf.String())
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"migratory/internal/core"
 	"migratory/internal/memory"
+	"migratory/internal/obs"
 	"migratory/internal/stats"
 	"migratory/internal/trace"
 )
@@ -66,8 +67,7 @@ func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accur
 	opts = opts.withDefaults()
 	app := prepared.Name
 	geom := memory.MustGeometry(16, PageSize)
-	open := opts.cachedOpen(prepared.Open)
-	src, err := open()
+	src, err := opts.cachedOpen(prepared.Open)()
 	if err != nil {
 		return nil, err
 	}
@@ -79,32 +79,24 @@ func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accur
 	if cerr != nil {
 		return nil, cerr
 	}
-	pl := prepared.Placement
 
-	var adaptive []core.Policy
+	var runs []cellRun
 	for _, pol := range opts.Policies {
 		if pol.Adaptive {
-			adaptive = append(adaptive, pol)
+			runs = append(runs, cellRun{app: app, variant: pol.Name, cfg: RunConfig{
+				Engine:          EngineDirectory,
+				Nodes:           opts.Nodes,
+				CacheBytes:      cacheBytes,
+				OpenSource:      prepared.Open,
+				PlacementPolicy: prepared.Placement,
+				policy:          &pol,
+			}})
 		}
 	}
-	out := make([]Accuracy, len(adaptive))
-	err = runIndexed(opts.ctx(), len(adaptive), opts.workers(), func(i int) error {
-		pol := adaptive[i]
-		res, err := Run(opts.ctx(), RunConfig{
-			Engine:          EngineDirectory,
-			Nodes:           opts.Nodes,
-			CacheBytes:      cacheBytes,
-			Shards:          opts.Shards,
-			Cache:           opts.Cache,
-			OpenSource:      open,
-			PlacementPolicy: pl,
-			policy:          &pol,
-		})
-		if err != nil {
-			return err
-		}
+	out := make([]Accuracy, len(runs))
+	err = opts.runCells(runs, func(i int, res *RunResult, _ obs.Probe) {
 		detected := res.EverMigratory()
-		acc := Accuracy{App: app, Policy: pol}
+		acc := Accuracy{App: app, Policy: *runs[i].cfg.policy}
 		for b, pattern := range truth {
 			if pattern == trace.PatternPrivate {
 				continue
@@ -126,7 +118,6 @@ func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accur
 			}
 		}
 		out[i] = acc
-		return nil
 	})
 	if err != nil {
 		return nil, err

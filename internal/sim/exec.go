@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"migratory/internal/core"
+	"migratory/internal/obs"
 	"migratory/internal/stats"
 	"migratory/internal/timing"
 )
@@ -39,9 +40,6 @@ type ExecRow struct {
 // basic) on the ExecApps, with round-robin placement and DASH-like
 // latencies. cacheBytes of 0 uses 64 KB per node.
 func ExecutionTime(opts Options, policy core.Policy, cacheBytes int) ([]ExecRow, error) {
-	if err := rejectShards(opts); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
 	apps, err := prepareApps(opts)
 	if err != nil {
@@ -50,60 +48,36 @@ func ExecutionTime(opts Options, policy core.Policy, cacheBytes int) ([]ExecRow,
 	return ExecutionTimeApps(apps, opts, policy, cacheBytes)
 }
 
-// rejectShards refuses set sharding for the timing model: the simulated
-// bus serializes every transaction globally, so a timed run cannot be
-// partitioned by set index. The check looks at the raw option — even
-// -shards -1 (auto) is rejected rather than resolved, so the error does
-// not depend on the machine's core count.
-func rejectShards(opts Options) error {
-	if opts.Shards != 0 && opts.Shards != 1 {
-		return fmt.Errorf("sim: execution-driven timing cannot shard (Shards=%d): the bus serializes transactions globally", opts.Shards)
-	}
-	return nil
-}
-
 // ExecutionTimeApps is ExecutionTime over caller-prepared apps (external
 // traces wrapped with NewApp or NewSourceApp).
 func ExecutionTimeApps(apps []*App, opts Options, policy core.Policy, cacheBytes int) ([]ExecRow, error) {
-	if err := rejectShards(opts); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
+	opts.Probes = nil // the timing model emits no coherence events
 	if cacheBytes == 0 {
 		cacheBytes = 64 << 10
 	}
 
 	// Two independent timing simulations per application (conventional and
 	// adaptive), fanned out together.
-	results := make([]timing.Result, 2*len(apps))
-	err := runIndexed(opts.ctx(), len(results), opts.workers(), func(i int) error {
-		app := apps[i/2]
+	var runs []cellRun
+	for _, app := range apps {
 		params := timing.DefaultParams()
 		if t, ok := execThink[app.Name]; ok {
 			params.ThinkCycles = t
 		}
-		pol := core.Conventional
-		if i%2 == 1 {
-			pol = policy
+		for _, pol := range []core.Policy{core.Conventional, policy} {
+			runs = append(runs, cellRun{app: app.Name, variant: pol.Name, cfg: RunConfig{
+				Engine:       EngineTiming,
+				Nodes:        opts.Nodes,
+				CacheBytes:   cacheBytes,
+				TimingParams: &params,
+				OpenSource:   app.Open,
+				policy:       &pol,
+			}})
 		}
-		res, err := Run(opts.ctx(), RunConfig{
-			Engine:       EngineTiming,
-			Nodes:        opts.Nodes,
-			CacheBytes:   cacheBytes,
-			TimingParams: &params,
-			Cache:        opts.Cache,
-			OpenSource:   opts.cachedOpen(app.Open),
-			policy:       &pol,
-		})
-		if err != nil {
-			if cerr := opts.ctx().Err(); cerr != nil {
-				return cerr
-			}
-			return fmt.Errorf("%s/%s: %w", app.Name, pol.Name, err)
-		}
-		results[i] = *res.Timing
-		return nil
-	})
+	}
+	results := make([]timing.Result, len(runs))
+	err := opts.runCells(runs, func(i int, res *RunResult, _ obs.Probe) { results[i] = *res.Timing })
 	if err != nil {
 		return nil, err
 	}

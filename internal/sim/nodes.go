@@ -5,8 +5,8 @@ import (
 
 	"migratory/internal/core"
 	"migratory/internal/cost"
-	"migratory/internal/directory"
 	"migratory/internal/memory"
+	"migratory/internal/obs"
 	"migratory/internal/stats"
 	"migratory/internal/workload"
 )
@@ -40,14 +40,12 @@ func NodeCountSweep(app string, nodeCounts []int, opts Options) ([]NodeCountRow,
 			return nil, fmt.Errorf("sim: node count %d out of range", n)
 		}
 	}
-	geom := memory.MustGeometry(16, PageSize)
 
 	// Each machine size has its own trace and placement; prepare them in
 	// parallel (as apps, so streaming mode holds no trace in memory), then
 	// fan the (node count, policy) simulations out.
 	preps := make([]*App, len(nodeCounts))
-	workers := opts.workers()
-	err = runIndexed(opts.ctx(), len(nodeCounts), workers, func(i int) error {
+	err = runIndexed(opts.ctx(), len(nodeCounts), opts.workers(), func(i int) error {
 		perNode := opts
 		perNode.Nodes = nodeCounts[i]
 		a, err := PrepareApp(prof.Name, perNode)
@@ -62,27 +60,20 @@ func NodeCountSweep(app string, nodeCounts []int, opts Options) ([]NodeCountRow,
 	}
 
 	pols := core.Policies()
-	msgs := make([]cost.Msgs, len(nodeCounts)*len(pols))
-	err = runIndexed(opts.ctx(), len(msgs), workers, func(i int) error {
-		ni, pi := i/len(pols), i%len(pols)
-		n := nodeCounts[ni]
-		sys, err := newDirectoryRunner(directory.Config{
-			Nodes: n, Geometry: geom, Policy: pols[pi], Placement: preps[ni].Placement,
-		}, ResolveShards(opts.Shards, 0, 16), nil)
-		if err != nil {
-			return err
+	var runs []cellRun
+	for ni, n := range nodeCounts {
+		for _, pol := range pols {
+			runs = append(runs, cellRun{app: app, variant: pol.Name, cfg: RunConfig{
+				Engine:          EngineDirectory,
+				Nodes:           n,
+				OpenSource:      preps[ni].Open,
+				PlacementPolicy: preps[ni].Placement,
+				policy:          &pol,
+			}})
 		}
-		src, err := preps[ni].Open()
-		if err != nil {
-			return err
-		}
-		defer src.Close()
-		if err := sys.RunSource(opts.ctx(), src); err != nil {
-			return err
-		}
-		msgs[i] = sys.Messages()
-		return nil
-	})
+	}
+	msgs := make([]cost.Msgs, len(runs))
+	err = opts.runCells(runs, func(i int, res *RunResult, _ obs.Probe) { msgs[i] = res.Directory.Msgs })
 	if err != nil {
 		return nil, err
 	}

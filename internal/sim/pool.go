@@ -2,9 +2,12 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"migratory/internal/obs"
 )
 
 // The sweeps of §4 are embarrassingly parallel: every (app, policy, cache,
@@ -100,4 +103,51 @@ func (o Options) workers() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// cellRun is one cell of a sweep: the run to execute, plus the app and
+// variant (policy or bus-protocol) names its probe is built for and its
+// error is labelled with.
+type cellRun struct {
+	app, variant string
+	cfg          RunConfig
+}
+
+// runCells is the one fan-out every sweep driver uses: it executes each
+// cell's config through Run on the Options.Parallelism worker pool and
+// hands cell i's result, and the probe it was instrumented with (nil when
+// Options.Probes is unset), to done(i, …) on the worker goroutine. done
+// must write only slot i of the caller's output, and should keep only
+// what it needs: a directory result retains its whole engine. The sweep's
+// shared resources apply to every run: Context cancels the sweep
+// (returning ctx.Err()), Stats receives the runs' counters and the cell
+// progress (CellsTotal up front, CellsDone per finished cell), and Cache
+// backs every trace file the cells open. Cells always run unsharded.
+func (o Options) runCells(runs []cellRun, done func(i int, res *RunResult, probe obs.Probe)) error {
+	ctx := o.ctx()
+	if o.Stats != nil {
+		o.Stats.CellsTotal.Add(uint64(len(runs)))
+	}
+	return runIndexed(ctx, len(runs), o.workers(), func(i int) error {
+		r := runs[i]
+		cfg := r.cfg
+		cfg.Stats, cfg.OpenSource = o.Stats, o.cachedOpen(cfg.OpenSource)
+		var probe obs.Probe
+		if o.Probes != nil {
+			probe = o.Probes(r.app, r.variant, cfg.CacheBytes, cfg.withDefaults().BlockSize)
+			cfg.Probes = func(int) obs.Probe { return probe }
+		}
+		res, err := Run(ctx, cfg)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return fmt.Errorf("%s/%s: %w", r.app, r.variant, err)
+		}
+		done(i, res, probe)
+		if o.Stats != nil {
+			o.Stats.CellsDone.Add(1)
+		}
+		return nil
+	})
 }

@@ -446,8 +446,8 @@ type BusResult struct {
 // which is what the cohd result cache and the bit-identical equivalence
 // tests compare.
 type RunResult struct {
-	Engine   string           `json:"engine"`
-	Accesses uint64           `json:"accesses"`
+	Engine    string           `json:"engine"`
+	Accesses  uint64           `json:"accesses"`
 	Directory *DirectoryResult `json:"directory,omitempty"`
 	Bus       *BusResult       `json:"bus,omitempty"`
 	Timing    *timing.Result   `json:"timing,omitempty"`

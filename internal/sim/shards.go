@@ -15,10 +15,9 @@ import (
 // floorPow2 rounds n down to a power of two (n must be >= 1).
 func floorPow2(n int) int { return 1 << (bits.Len(uint(n)) - 1) }
 
-// ResolveShards maps a requested shard count (RunConfig.Shards,
-// Options.Shards, the -shards flag) to the engine shard count of one run:
-// -1 becomes the largest power of two not above GOMAXPROCS, explicit
-// counts round down to a power of two (the shard router masks low block
+// ResolveShards maps a requested shard count (RunConfig.Shards, inspect's
+// -shards flag) to the engine shard count of one run: -1 becomes the
+// largest power of two not above GOMAXPROCS, explicit counts round down to a power of two (the shard router masks low block
 // bits), and finite caches cap the count at the per-cache set count so
 // every shard owns at least one set. The result is always >= 1, and
 // resolving a resolved count returns it unchanged.
@@ -37,9 +36,9 @@ func ResolveShards(shards, cacheBytes, blockSize int) int {
 	return n
 }
 
-// directoryRunner is the slice of the directory System surface the sweep
-// drivers use, implemented by both directory.System and directory.Sharded
-// so a cell runs identically whether or not it is sharded.
+// directoryRunner is the slice of the directory System surface Run uses,
+// implemented by both directory.System and directory.Sharded so a run
+// behaves identically whether or not it is sharded.
 type directoryRunner interface {
 	RunSource(ctx context.Context, src trace.Source) error
 	Messages() cost.Msgs
@@ -48,7 +47,7 @@ type directoryRunner interface {
 	InvalidationHistogram() map[int]uint64
 }
 
-// newDirectoryRunner builds the directory engine for one cell: a plain
+// newDirectoryRunner builds the directory engine for one run: a plain
 // System when shards <= 1, a set-sharded group otherwise. probes (optional)
 // supplies the per-shard probes; with shards <= 1 only probes(0) is used.
 func newDirectoryRunner(cfg directory.Config, shards int, probes func(int) obs.Probe) (directoryRunner, error) {
@@ -59,49 +58,4 @@ func newDirectoryRunner(cfg directory.Config, shards int, probes func(int) obs.P
 		return directory.New(cfg)
 	}
 	return directory.NewSharded(cfg, shards, probes)
-}
-
-// shardProbes adapts an Options.Probes factory to the per-shard factory the
-// sharded engines take: every shard of a cell gets its own probe built with
-// the cell's identity, so probes never see concurrent events. Returns nil
-// when the options carry no factory.
-func shardProbes(opts Options, app, variant string, cacheBytes, blockSize, shards int) (func(int) obs.Probe, []obs.Probe) {
-	if opts.Probes == nil {
-		return nil, nil
-	}
-	built := make([]obs.Probe, shards)
-	return func(i int) obs.Probe {
-		built[i] = opts.Probes(app, variant, cacheBytes, blockSize)
-		return built[i]
-	}, built
-}
-
-// mergeShardProbes folds a sharded cell's per-shard probes into the single
-// probe recorded on the Cell, preserving the sweep contract that per-cell
-// MetricsProbes merge deterministically: when every attached probe is an
-// *obs.MetricsProbe they merge in shard order (bit-identical to the probe a
-// sequential run would have filled); a single attached probe is returned
-// as-is; anything heterogeneous cannot be merged and yields nil.
-func mergeShardProbes(probes []obs.Probe) obs.Probe {
-	var attached []obs.Probe
-	for _, p := range probes {
-		if p != nil {
-			attached = append(attached, p)
-		}
-	}
-	switch len(attached) {
-	case 0:
-		return nil
-	case 1:
-		return attached[0]
-	}
-	mps := make([]*obs.MetricsProbe, 0, len(attached))
-	for _, p := range attached {
-		mp, ok := p.(*obs.MetricsProbe)
-		if !ok {
-			return nil
-		}
-		mps = append(mps, mp)
-	}
-	return obs.MergeMetrics(mps...)
 }

@@ -55,19 +55,11 @@ type Options struct {
 	// independent cells out on (0 = runtime.GOMAXPROCS(0), 1 = fully
 	// sequential). Every cell simulates a private System over a shared
 	// read-only trace, so results are deterministic — bit-identical to a
-	// sequential run — regardless of the setting or the scheduling.
+	// sequential run — regardless of the setting or the scheduling. Cells
+	// never set-shard: a sweep keeps its cores busy with whole cells, and
+	// sharding stays a per-run setting (RunConfig.Shards) for a single
+	// run that has the machine to itself.
 	Parallelism int
-	// Shards splits each *individual* untimed directory/bus run across
-	// engine shards by cache-set index (accesses to different sets never
-	// interact, so counters, metrics, and classifier verdicts stay
-	// bit-identical to a sequential run). 0 and 1 run sequentially; -1
-	// resolves to the largest power of two not above runtime.GOMAXPROCS(0);
-	// other values round down to a power of two, and finite caches
-	// additionally cap the count at the per-cache set count. The timing
-	// model rejects Shards > 1: its bus serializes transactions globally,
-	// so its runs cannot be partitioned. Parallelism composes with Shards
-	// multiplicatively — shards × workers goroutines can be live at once.
-	Shards int
 	// Cache, when non-nil, is the shared decoded-segment cache every cell
 	// of the sweep consults before decoding an indexed (MTR3) trace file:
 	// the first cell decodes each segment once and the rest replay the
@@ -76,7 +68,7 @@ type Options struct {
 	// or without it. Sweeps over in-memory or generated traces ignore it.
 	Cache *trace.SegmentCache
 	// Probes, when non-nil, is called once per simulation cell to build the
-	// probe that cell's System is instrumented with (a nil return leaves the
+	// probe that cell's run is instrumented with (a nil return leaves the
 	// cell unprobed). Cells run concurrently on worker goroutines under
 	// Parallelism > 1, so the factory must be safe for concurrent calls and
 	// must return a distinct probe per cell — probes themselves are invoked
@@ -85,14 +77,14 @@ type Options struct {
 	// per-cell MetricsProbes can be merged deterministically afterwards
 	// (obs.MergeMetrics), matching a sequential run regardless of
 	// scheduling. variant is the policy or bus-protocol name; blockSize is
-	// 16 for bus cells.
+	// 16 for bus cells. The execution-time sweep takes no probes.
 	Probes func(app, variant string, cacheBytes, blockSize int) obs.Probe
 	// Stats, when non-nil, receives live run telemetry
-	// (internal/telemetry): every cell's engine pushes access/batch/
-	// transition counters at batch granularity, the demux stage accounts
-	// shard queue depth and producer stalls, and the sweep drivers track
-	// cell progress (CellsDone/CellsTotal) for ETA reporting. One RunStats
-	// may be shared across a whole sweep — all fields are atomic sums.
+	// (internal/telemetry): every cell's directory or bus engine pushes
+	// access/batch/transition counters at batch granularity, and every
+	// sweep driver tracks cell progress (CellsDone/CellsTotal) for ETA
+	// reporting. One RunStats may be shared across a whole sweep — all
+	// fields are atomic sums.
 	Stats *telemetry.RunStats
 }
 
@@ -245,49 +237,12 @@ type Cell struct {
 	Msgs       cost.Msgs
 	Counters   directory.Counters
 	// Probe is the probe Options.Probes built for this cell (nil if none).
-	// Under Options.Shards > 1 the factory runs once per shard and Probe is
-	// the shard probes merged in shard order when they are all
-	// *obs.MetricsProbe (nil when they cannot be merged).
 	Probe obs.Probe
 }
 
 // Reduction returns the percentage total-message reduction of this cell
 // relative to base (normally the conventional cell of the same row).
 func (c Cell) Reduction(base Cell) float64 { return cost.Reduction(base.Msgs, c.Msgs) }
-
-// RunDirectoryCell simulates one (app, policy, cache size, block size)
-// combination. It is a thin adapter over Run: the app supplies the source
-// and prepared placement, the sweep identity builds the per-shard probes.
-func RunDirectoryCell(app *App, opts Options, policy core.Policy, cacheBytes, blockSize int) (Cell, error) {
-	opts = opts.withDefaults()
-	shards := ResolveShards(opts.Shards, cacheBytes, blockSize)
-	probes, built := shardProbes(opts, app.Name, policy.Name, cacheBytes, blockSize, shards)
-	res, err := Run(opts.ctx(), RunConfig{
-		Engine:          EngineDirectory,
-		Nodes:           opts.Nodes,
-		CacheBytes:      cacheBytes,
-		BlockSize:       blockSize,
-		Shards:          shards,
-		Probes:          probes,
-		Stats:           opts.Stats,
-		Cache:           opts.Cache,
-		OpenSource:      opts.cachedOpen(app.Open),
-		PlacementPolicy: app.Placement,
-		policy:          &policy,
-	})
-	if err != nil {
-		return Cell{}, err
-	}
-	return Cell{
-		App:        app.Name,
-		Policy:     policy,
-		CacheBytes: cacheBytes,
-		BlockSize:  blockSize,
-		Msgs:       res.Directory.Msgs,
-		Counters:   res.Directory.Counters,
-		Probe:      mergeShardProbes(built),
-	}, nil
-}
 
 // Row is one application's results across the protocol list, at one cache
 // and block size. Cells are ordered like Options.Policies.
@@ -354,50 +309,43 @@ func directorySweep(opts Options, apps []*App, cacheSizes, blockSizes []int, gro
 		}
 	}
 
-	// Fan the (app, group, policy) cells out across the worker pool; each
-	// lands in its index slot, so assembly below is in paper order no
-	// matter how the cells were scheduled.
-	nGroups, nPols := len(sw.GroupValues), len(opts.Policies)
-	cells := make([]Cell, len(apps)*nGroups*nPols)
-	if opts.Stats != nil {
-		opts.Stats.CellsTotal.Add(uint64(len(cells)))
-	}
-	err := runIndexed(opts.ctx(), len(cells), opts.workers(), func(i int) error {
-		app := apps[i/(nGroups*nPols)]
-		gv := sw.GroupValues[(i/nPols)%nGroups]
-		pol := opts.Policies[i%nPols]
-		cacheBytes, blockSize := gv, 16
-		if !groupIsCache {
-			cacheBytes, blockSize = 0, gv
-		}
-		cell, err := RunDirectoryCell(app, opts, pol, cacheBytes, blockSize)
-		if err != nil {
-			if cerr := opts.ctx().Err(); cerr != nil {
-				return cerr
+	// One run per (app, group, policy) cell, in paper order.
+	var cells []Cell
+	var runs []cellRun
+	for _, app := range apps {
+		for _, gv := range sw.GroupValues {
+			cacheBytes, blockSize := gv, 16
+			if !groupIsCache {
+				cacheBytes, blockSize = 0, gv
 			}
-			return fmt.Errorf("%s/%s: %w", app.Name, pol.Name, err)
+			for _, pol := range opts.Policies {
+				cells = append(cells, Cell{App: app.Name, Policy: pol, CacheBytes: cacheBytes, BlockSize: blockSize})
+				runs = append(runs, cellRun{app: app.Name, variant: pol.Name, cfg: RunConfig{
+					Engine:          EngineDirectory,
+					Nodes:           opts.Nodes,
+					CacheBytes:      cacheBytes,
+					BlockSize:       blockSize,
+					OpenSource:      app.Open,
+					PlacementPolicy: app.Placement,
+					policy:          &pol,
+				}})
+			}
 		}
-		cells[i] = cell
-		if opts.Stats != nil {
-			opts.Stats.CellsDone.Add(1)
-		}
-		return nil
+	}
+	err := opts.runCells(runs, func(i int, res *RunResult, probe obs.Probe) {
+		cells[i].Msgs, cells[i].Counters, cells[i].Probe = res.Directory.Msgs, res.Directory.Counters, probe
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	for ai, app := range apps {
-		for gi, gv := range sw.GroupValues {
-			cacheBytes, blockSize := gv, 16
-			if !groupIsCache {
-				cacheBytes, blockSize = 0, gv
-			}
-			row := Row{App: app.Name, CacheBytes: cacheBytes, BlockSize: blockSize}
-			base := (ai*nGroups + gi) * nPols
-			row.Cells = append(row.Cells, cells[base:base+nPols]...)
-			sw.Rows[gv] = append(sw.Rows[gv], row)
+	for base, n := 0, len(opts.Policies); base < len(cells); base += n {
+		c := cells[base]
+		gv := c.CacheBytes
+		if !groupIsCache {
+			gv = c.BlockSize
 		}
+		sw.Rows[gv] = append(sw.Rows[gv], Row{App: c.App, CacheBytes: c.CacheBytes, BlockSize: c.BlockSize, Cells: cells[base : base+n : base+n]})
 	}
 	return sw, nil
 }
@@ -516,51 +464,32 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 	}
 	sw := &BusSweep{Options: opts, CacheSizes: cacheSizes, Protocols: protocols, Rows: make(map[int][]BusRow)}
 
-	nCaches, nProts := len(cacheSizes), len(protocols)
-	cells := make([]BusCell, len(apps)*nCaches*nProts)
-	if opts.Stats != nil {
-		opts.Stats.CellsTotal.Add(uint64(len(cells)))
-	}
-	err := runIndexed(opts.ctx(), len(cells), opts.workers(), func(i int) error {
-		app := apps[i/(nCaches*nProts)]
-		cb := cacheSizes[(i/nProts)%nCaches]
-		p := protocols[i%nProts]
-		shards := ResolveShards(opts.Shards, cb, 16)
-		probes, built := shardProbes(opts, app.Name, p.String(), cb, 16, shards)
-		res, err := Run(opts.ctx(), RunConfig{
-			Engine:     EngineBus,
-			Nodes:      opts.Nodes,
-			Protocol:   p.String(),
-			CacheBytes: cb,
-			Shards:     shards,
-			Probes:     probes,
-			Stats:      opts.Stats,
-			Cache:      opts.Cache,
-			OpenSource: opts.cachedOpen(app.Open),
-		})
-		if err != nil {
-			if cerr := opts.ctx().Err(); cerr != nil {
-				return cerr
+	var cells []BusCell
+	var runs []cellRun
+	for _, app := range apps {
+		for _, cb := range cacheSizes {
+			for _, p := range protocols {
+				cells = append(cells, BusCell{App: app.Name, Protocol: p, CacheBytes: cb})
+				runs = append(runs, cellRun{app: app.Name, variant: p.String(), cfg: RunConfig{
+					Engine:     EngineBus,
+					Nodes:      opts.Nodes,
+					Protocol:   p.String(),
+					CacheBytes: cb,
+					OpenSource: app.Open,
+				}})
 			}
-			return fmt.Errorf("%s/%s: %w", app.Name, p, err)
 		}
-		cells[i] = BusCell{App: app.Name, Protocol: p, CacheBytes: cb, Counts: res.Bus.Counts, Probe: mergeShardProbes(built)}
-		if opts.Stats != nil {
-			opts.Stats.CellsDone.Add(1)
-		}
-		return nil
+	}
+	err := opts.runCells(runs, func(i int, res *RunResult, probe obs.Probe) {
+		cells[i].Counts, cells[i].Probe = res.Bus.Counts, probe
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	for ai, app := range apps {
-		for ci, cb := range cacheSizes {
-			row := BusRow{App: app.Name, CacheBytes: cb}
-			base := (ai*nCaches + ci) * nProts
-			row.Cells = append(row.Cells, cells[base:base+nProts]...)
-			sw.Rows[cb] = append(sw.Rows[cb], row)
-		}
+	for base, n := 0, len(protocols); base < len(cells); base += n {
+		c := cells[base]
+		sw.Rows[c.CacheBytes] = append(sw.Rows[c.CacheBytes], BusRow{App: c.App, CacheBytes: c.CacheBytes, Cells: cells[base : base+n : base+n]})
 	}
 	return sw, nil
 }

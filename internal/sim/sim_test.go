@@ -52,15 +52,19 @@ func TestPrepareApp(t *testing.T) {
 	}
 }
 
+// TestRunDirectoryCellErrors checks that a directory sweep cell with a bad
+// geometry fails the sweep instead of producing a row.
 func TestRunDirectoryCellErrors(t *testing.T) {
-	app, err := PrepareApp("Water", testOpts("Water"))
+	opts := testOpts("Water")
+	app, err := PrepareApp("Water", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDirectoryCell(app, testOpts("Water"), core.Basic, 4096, 24); err == nil {
+	opts.Policies = []core.Policy{core.Basic}
+	if _, err := directorySweep(opts, []*App{app}, nil, []int{24}, false); err == nil {
 		t.Fatal("bad block size accepted")
 	}
-	if _, err := RunDirectoryCell(app, testOpts("Water"), core.Basic, 100, 16); err == nil {
+	if _, err := directorySweep(opts, []*App{app}, []int{100}, nil, true); err == nil {
 		t.Fatal("bad cache size accepted")
 	}
 }

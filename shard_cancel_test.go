@@ -130,21 +130,18 @@ func TestShardedBusCancellation(t *testing.T) {
 }
 
 func TestShardedSweepCancellation(t *testing.T) {
-	// A whole sweep with Shards >= 2: cancel while cells are in flight and
-	// require the driver to return ctx.Err() without leaking the cells'
-	// demux pipelines.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts := ExperimentOptions{
-		Context: ctx,
-		Apps:    []string{"MP3D"},
-		Length:  200_000,
-		Shards:  2,
-	}
-	time.AfterFunc(10*time.Millisecond, cancel)
-	_, err := Table2(opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
-	}
-	waitNoDemuxGoroutines(t)
+	// Sharding is a per-run setting: a Shards: 2 Run cancelled mid-stream
+	// must return ctx.Err() without leaking its demux pipeline.
+	// Round-robin placement skips the profiling pass, so the one opened
+	// source is the one the engine drains.
+	runCancelled(t, cancelTrace(t), func(ctx context.Context, src TraceSource) error {
+		_, err := Run(ctx, RunConfig{
+			Engine:     EngineDirectory,
+			Policy:     "basic",
+			Placement:  PlacementRoundRobin,
+			Shards:     2,
+			OpenSource: func() (TraceSource, error) { return src, nil },
+		})
+		return err
+	})
 }

@@ -30,7 +30,7 @@ func TestShardedDirectoryEquivalence(t *testing.T) {
 				Policy:     pol,
 				Placement:  RoundRobinPlacement(16),
 			}
-			seq, err := RunDirectory(nil, open(), cfg)
+			seq, err := runDirectory(nil, open(), cfg)
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", pol, name, err)
 			}
@@ -85,7 +85,7 @@ func TestShardedBusEquivalence(t *testing.T) {
 				CacheBytes: 16 << 10,
 				Protocol:   prot,
 			}
-			seq, err := RunBus(nil, open(), cfg)
+			seq, err := runBus(nil, open(), cfg)
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", prot, name, err)
 			}
@@ -132,7 +132,7 @@ func TestShardedMetricsProbeEquivalence(t *testing.T) {
 	seqProbe := &MetricsProbe{}
 	seqCfg := cfg
 	seqCfg.Probe = seqProbe
-	if _, err := RunDirectory(nil, NewSliceTraceSource(accs), seqCfg); err != nil {
+	if _, err := runDirectory(nil, NewSliceTraceSource(accs), seqCfg); err != nil {
 		t.Fatal(err)
 	}
 	seqProbe.Finish()
@@ -176,29 +176,34 @@ func TestShardedMetricsProbeEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedSweepEquivalence drives sharding through the sim layer: the
-// whole Table 2 sweep (five policies, five cache sizes) must render
-// identically at any Shards setting, including the -1 auto value and a
-// non-power-of-two request (rounded down).
+// TestShardedSweepEquivalence checks per-run sharding against the sweep:
+// every Table 2 cell re-run through Run at any Shards setting, including
+// the -1 auto value and a non-power-of-two request (rounded down), lands
+// on the counters of the unsharded sweep's cell.
 func TestShardedSweepEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 2 sweep")
 	}
-	base := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 20_000, Apps: []string{"MP3D"}}
-	seq, err := Table2(base)
+	const length = 20_000
+	seq, err := Table2(ExperimentOptions{Nodes: 16, Seed: 1993, Length: length, Apps: []string{"MP3D"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := seq.Render().String()
-	for _, shards := range []int{2, 3, 8, -1} {
-		opts := base
-		opts.Shards = shards
-		got, err := Table2(opts)
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
-		}
-		if s := got.Render().String(); s != want {
-			t.Fatalf("Shards=%d Table 2 diverged:\n%s\nwant:\n%s", shards, s, want)
+	for _, gv := range seq.GroupValues {
+		for _, c := range seq.Rows[gv][0].Cells {
+			for _, shards := range []int{2, 3, 8, -1} {
+				res, err := Run(nil, RunConfig{
+					Engine: EngineDirectory, Workload: "MP3D", Length: length,
+					Policy: c.Policy.Name, CacheBytes: c.CacheBytes, Shards: shards,
+				})
+				if err != nil {
+					t.Fatalf("%s/%d Shards=%d: %v", c.Policy.Name, c.CacheBytes, shards, err)
+				}
+				if got := res.Directory; got.Msgs != c.Msgs || got.Counters != c.Counters {
+					t.Fatalf("%s/%d Shards=%d diverged: %+v, want %+v / %+v",
+						c.Policy.Name, c.CacheBytes, shards, *got, c.Msgs, c.Counters)
+				}
+			}
 		}
 	}
 }
@@ -207,16 +212,16 @@ func TestShardedSweepEquivalence(t *testing.T) {
 // serializes transactions on a global bus and refuses to shard, even with
 // the auto value.
 func TestTimingRejectsShards(t *testing.T) {
+	cfg := RunConfig{Engine: EngineTiming, Workload: "MP3D", Length: 1000, Policy: "basic"}
 	for _, shards := range []int{2, -1} {
-		opts := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 1000,
-			Apps: []string{"MP3D"}, Shards: shards}
-		if _, err := ExecutionTime(opts, Basic, 0); err == nil {
+		c := cfg
+		c.Shards = shards
+		if _, err := Run(nil, c); err == nil {
 			t.Fatalf("Shards=%d: execution-driven timing accepted sharding", shards)
 		}
 	}
-	opts := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 1000,
-		Apps: []string{"MP3D"}, Shards: 1}
-	if _, err := ExecutionTime(opts, Basic, 0); err != nil {
+	cfg.Shards = 1
+	if _, err := Run(nil, cfg); err != nil {
 		t.Fatalf("Shards=1: %v", err)
 	}
 }
@@ -239,7 +244,7 @@ func TestShardedJSONLProbe(t *testing.T) {
 	seqProbe := &MetricsProbe{}
 	seqCfg := cfg
 	seqCfg.Probe = seqProbe
-	if _, err := RunDirectory(nil, NewSliceTraceSource(accs), seqCfg); err != nil {
+	if _, err := runDirectory(nil, NewSliceTraceSource(accs), seqCfg); err != nil {
 		t.Fatal(err)
 	}
 
